@@ -18,8 +18,10 @@
 //       baseline emitted on an AVX-512 box must still pass. Also
 //       enforces the multithread scaling gate: the fused conv grid must
 //       give BM_ConvForwardMT/64 a >= 1.6x threads-4 speedup over
-//       threads-1, skipped with a logged reason on hosts with fewer
-//       than 4 cores (the ratio is noise there).
+//       threads-1, and BM_ConvForwardMT/1 at threads-4 may be no slower
+//       than at threads-1 beyond the default 35% band. Both are skipped
+//       with a logged reason on hosts with fewer than 4 cores (the
+//       ratio is noise there).
 //       Exit code 0 = within band, 1 = regression.
 //
 // Typical flow (also run by CI in quick mode):
@@ -306,17 +308,23 @@ std::map<std::string, Entry> load_perf(const std::string& path) {
   return out;
 }
 
-// Multithread scaling gate on the current run: the fused (sample ×
-// out-channel-tile) conv grid must turn pool threads into wall-clock
-// speedup, not just pool overhead. Compares BM_ConvForwardMT/64 at
-// threads 4 vs threads 1 and requires >= kMinConvSpeedup. On hosts with
-// fewer than 4 hardware cores the threads-4 run just time-slices one
-// core, so the gate logs why it is skipped instead of failing.
+// Default regression band of `check` (--tolerance overrides it for the
+// baseline comparison; the batch-1 mt-gate always uses this value).
+constexpr double kDefaultTolerance = 0.35;
+
+// Multithread scaling gate on the current run, BM_ConvForwardMT at
+// threads 4 vs threads 1:
+//   * batch 64: the fused (sample × out-channel-tile) conv grid must turn
+//     pool threads into wall-clock speedup, >= kMinConvSpeedup;
+//   * batch 1: the grid's work floor must keep a conv too small to pay
+//     for a pool handoff inline, so threads-4 may be no slower than
+//     threads-1 beyond the kDefaultTolerance band.
+// On hosts with fewer than 4 hardware cores the threads-4 run just
+// time-slices one core, so the gate logs why it is skipped instead of
+// failing.
 constexpr double kMinConvSpeedup = 1.6;
 
 int mt_scaling_gate(const std::map<std::string, Entry>& current) {
-  const std::string t1 = "BM_ConvForwardMT/64/1/real_time";
-  const std::string t4 = "BM_ConvForwardMT/64/4/real_time";
   const unsigned cores = std::thread::hardware_concurrency();
   if (cores < 4) {
     std::printf("mt-gate  skipped: host has %u hardware core(s) (< 4); threads-4 scaling is "
@@ -324,22 +332,27 @@ int mt_scaling_gate(const std::map<std::string, Entry>& current) {
                 cores);
     return 0;
   }
-  const auto i1 = current.find(t1);
-  const auto i4 = current.find(t4);
-  if (i1 == current.end() || i4 == current.end() || i1->second.skipped || i4->second.skipped) {
-    std::printf("mt-gate  skipped: %s / %s not present in the current run\n", t1.c_str(),
-                t4.c_str());
-    return 0;
+  int failures = 0;
+  for (const int batch : {64, 1}) {
+    const std::string prefix = "BM_ConvForwardMT/" + std::to_string(batch);
+    const std::string t1 = prefix + "/1/real_time";
+    const std::string t4 = prefix + "/4/real_time";
+    const auto i1 = current.find(t1);
+    const auto i4 = current.find(t4);
+    if (i1 == current.end() || i4 == current.end() || i1->second.skipped ||
+        i4->second.skipped) {
+      std::printf("mt-gate  skipped: %s / %s not present in the current run\n", t1.c_str(),
+                  t4.c_str());
+      continue;
+    }
+    const double speedup = i4->second.ns > 0.0 ? i1->second.ns / i4->second.ns : 0.0;
+    const double required = batch == 1 ? 1.0 / (1.0 + kDefaultTolerance) : kMinConvSpeedup;
+    const bool bad = speedup < required;
+    std::printf("%s mt-gate: batch-%d conv forward threads-4 speedup %.2fx (%s %.2fx)\n",
+                bad ? "REGRESS " : "ok      ", batch, speedup, bad ? "<" : ">=", required);
+    if (bad) ++failures;
   }
-  const double speedup = i4->second.ns > 0.0 ? i1->second.ns / i4->second.ns : 0.0;
-  if (speedup < kMinConvSpeedup) {
-    std::printf("REGRESS  mt-gate: conv forward threads-4 speedup %.2fx < required %.2fx\n",
-                speedup, kMinConvSpeedup);
-    return 1;
-  }
-  std::printf("ok       mt-gate: conv forward threads-4 speedup %.2fx (>= %.2fx)\n", speedup,
-              kMinConvSpeedup);
-  return 0;
+  return failures;
 }
 
 int check(const std::string& base_path, const std::string& cur_path, double tolerance) {
@@ -404,7 +417,7 @@ int main(int argc, char** argv) {
       return emit(argv[2], argv[3]);
     }
     if (argc >= 4 && std::strcmp(argv[1], "check") == 0) {
-      double tolerance = 0.35;
+      double tolerance = kDefaultTolerance;
       for (int i = 4; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], "--tolerance") == 0) tolerance = std::atof(argv[i + 1]);
       }

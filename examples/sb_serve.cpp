@@ -62,8 +62,8 @@ void usage(const char* argv0) {
       "  --mode NAME      dense | csr | shrunk (default csr)\n"
       "  --keep F         fraction of prunable weights kept (default 0.25)\n"
       "  --workers N      server worker threads (default 1)\n"
-      "  --max-batch N    dynamic batcher flush size (default 8)\n"
-      "  --max-wait-us N  dynamic batcher flush age (default 2000)\n"
+      "  --max-batch N    largest batch the batcher assembles (default 8)\n"
+      "  --max-wait-us N  longest a partial batch waits on a busy worker (default 2000)\n"
       "  --queue-capacity N  bounded request queue size (default 256)\n"
       "  --policy NAME    full-queue policy: block | reject | drop-oldest\n"
       "                   (default: SB_SERVE_OVERLOAD, then block)\n"

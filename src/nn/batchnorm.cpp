@@ -10,17 +10,6 @@
 
 namespace shrinkbench {
 
-namespace {
-// Floor on elements per parallel chunk for the per-channel / per-plane
-// loops below; every chunk owns whole channels or whole (sample,
-// channel) planes, so the partition cannot change any output bit.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
-int64_t chunk_grain(int64_t per_index_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_index_elems, 1));
-}
-}  // namespace
-
 BatchNorm2d::BatchNorm2d(std::string name, int64_t channels, float eps, float momentum)
     : Layer(std::move(name)),
       channels_(channels),
@@ -64,7 +53,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     // Channel-outer so each sum[c] is owned by one chunk and accumulates
     // its per-sample partials in ascending-i order — the same order as a
     // sample-outer loop, hence bit-identical for any thread count.
-    parallel_for(0, channels_, chunk_grain(per_channel), [&](int64_t c0, int64_t c1) {
+    parallel_for(0, channels_, grain_for(per_channel), [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         for (int64_t i = 0; i < n; ++i) {
           const float* src = x.data() + (i * channels_ + c) * spatial;
@@ -97,7 +86,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 
   // Normalize pass: each (sample, channel) plane is written by exactly
   // one chunk, so the fan-out cannot change any output bit.
-  parallel_for(0, n * channels_, chunk_grain(spatial), [&](int64_t p0, int64_t p1) {
+  parallel_for(0, n * channels_, grain_for(spatial), [&](int64_t p0, int64_t p1) {
     for (int64_t p = p0; p < p1; ++p) {
       const int64_t c = p % channels_;
       const float* src = x.data() + p * spatial;
@@ -131,7 +120,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   std::memset(sum_dy_xhat, 0, nc * sizeof(double));
   // Channel-outer: each channel's sums are owned by one chunk and keep
   // the ascending-i accumulation order of the sequential loop.
-  parallel_for(0, channels_, chunk_grain(per_channel), [&](int64_t c0, int64_t c1) {
+  parallel_for(0, channels_, grain_for(per_channel), [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
       for (int64_t i = 0; i < n; ++i) {
         const float* dy = grad_out.data() + (i * channels_ + c) * spatial;
@@ -159,7 +148,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   }
 
   Tensor dx(grad_out.shape());
-  parallel_for(0, n * channels_, chunk_grain(spatial), [&](int64_t p0, int64_t p1) {
+  parallel_for(0, n * channels_, grain_for(spatial), [&](int64_t p0, int64_t p1) {
     for (int64_t p = p0; p < p1; ++p) {
       const int64_t c = p % channels_;
       const float* dy = grad_out.data() + p * spatial;

@@ -25,24 +25,10 @@ bool cache_cols_enabled() {
   return enabled;
 }
 
-// Per-sample loops fan out over the pool with this floor on elements per
-// chunk; samples are disjoint, so partitioning cannot change any value.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
-// Floor on output channels per fused-grid tile: below this the per-tile
-// GEMM degenerates to a few kernel rows and the restaged im2col columns
-// dominate. Only reached at batch sizes below the pool width, where the
-// channel axis is the only parallelism left.
-constexpr int64_t kMinOcPerTile = 4;
-
-int64_t sample_grain(int64_t per_sample_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_sample_elems, 1));
-}
-
 // Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow]
 // (and scatters back), so a whole minibatch becomes one GEMM operand.
 void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spatial, float* cm) {
-  parallel_for(0, n, sample_grain(c * spatial), [&](int64_t n0, int64_t n1) {
+  parallel_for(0, n, grain_for(c * spatial), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
       for (int64_t ch = 0; ch < c; ++ch) {
         const float* src = nchw + (i * c + ch) * spatial;
@@ -56,7 +42,7 @@ void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spati
 // for bias-free layers), saving a second full pass over the output.
 void scatter_channel_major(const float* cm, int64_t n, int64_t c, int64_t spatial, float* nchw,
                            const float* bias) {
-  parallel_for(0, n, sample_grain(c * spatial), [&](int64_t n0, int64_t n1) {
+  parallel_for(0, n, grain_for(c * spatial), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
       for (int64_t ch = 0; ch < c; ++ch) {
         const float* src = cm + ch * (n * spatial) + i * spatial;
@@ -124,7 +110,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     cached_cols_.resize(static_cast<size_t>(col_rows * ld));
     float* cols = cached_cols_.data();
     cached_cols_valid_ = true;
-    parallel_for(0, n, sample_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
+    parallel_for(0, n, grain_for(col_rows * spatial), [&](int64_t n0, int64_t n1) {
       for (int64_t i = n0; i < n1; ++i) {
         im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
       }
@@ -150,7 +136,9 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   // reduction stays whole inside every tile, and the block kernel
   // accumulates k in the same ascending order for any (m, n) subrange —
   // so y matches the monolithic GEMM bit for bit at every thread count.
-  const Grid2d grid(n, out_c_, 1, kMinOcPerTile, ThreadPool::instance().threads());
+  // A conv too small to pay for a pool handoff is one tile, run inline.
+  const Grid2d grid(n, out_c_, 1, kMinOcPerTile, col_rows * spatial,
+                    ThreadPool::instance().threads());
   parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
     Workspace& ws = Workspace::tls();
     int64_t t = t_lo;
@@ -216,7 +204,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // Recompute the batched column matrix (cheaper than caching it in
     // memory-constrained runs; see SB_CONV_CACHE_COLS).
     float* scratch = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-    parallel_for(0, n, sample_grain(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
+    parallel_for(0, n, grain_for(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
       for (int64_t i = n0; i < n1; ++i) {
         im2col_ld(g, x.data() + i * image_numel, scratch + i * g.col_cols(), ld);
       }
@@ -244,7 +232,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor dx(x.shape());
   const int64_t kk = kernel_ * kernel_;
   const int64_t plane = h * w;
-  const Grid2d grid(n, in_c_, 1, 1, ThreadPool::instance().threads());
+  const Grid2d grid(n, in_c_, 1, 1, kk * spatial * out_c_, ThreadPool::instance().threads());
   parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
     Workspace& tws = Workspace::tls();
     for (int64_t t = t_lo; t < t_hi; ++t) {
@@ -272,7 +260,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // Channel-outer so each bg[c] is owned by one chunk and accumulates
     // its per-sample sums in ascending-i order — the same order as the
     // old sample-outer loop, hence bit-identical for any thread count.
-    parallel_for(0, out_c_, sample_grain(n * spatial), [&](int64_t c0, int64_t c1) {
+    parallel_for(0, out_c_, grain_for(n * spatial), [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         for (int64_t i = 0; i < n; ++i) {
           const float* src = gp + (i * out_c_ + c) * spatial;

@@ -12,18 +12,6 @@
 
 namespace shrinkbench {
 
-namespace {
-
-// Same fan-out floor as the dense conv path: chunks below this many
-// touched elements stay on the calling thread.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
-int64_t work_grain(int64_t per_index_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_index_elems, 1));
-}
-
-}  // namespace
-
 CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float tol) {
   // col_idx is int32_t; wider matrices would silently wrap the indices.
   if (cols > std::numeric_limits<int32_t>::max()) {
@@ -66,7 +54,7 @@ void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* d
   // the average row's multiply-add work.
   const int64_t avg_row_work =
       csr.rows == 0 ? 0 : (csr.nnz() * n) / std::max<int64_t>(csr.rows, 1) + n;
-  parallel_for(0, csr.rows, work_grain(avg_row_work), [&](int64_t r0, int64_t r1) {
+  parallel_for(0, csr.rows, grain_for(avg_row_work), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       float* out_row = dense_out + r * n;
       std::fill(out_row, out_row + n, 0.0f);
@@ -117,7 +105,7 @@ Tensor SparseConv2dInference::forward(const Tensor& x) const {
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
   float* cols = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-  parallel_for(0, n, work_grain(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
+  parallel_for(0, n, grain_for(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
       im2col_ld(g, x.data() + i * image_numel, cols + i * g.col_cols(), ld);
     }
@@ -127,7 +115,7 @@ Tensor SparseConv2dInference::forward(const Tensor& x) const {
 
   Tensor y({n, out_c_, oh, ow});
   const float* bias = conv_.bias() != nullptr ? conv_.bias()->data.data() : nullptr;
-  parallel_for(0, n, work_grain(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
+  parallel_for(0, n, grain_for(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
       for (int64_t c = 0; c < out_c_; ++c) {
         const float* src = out_cm + c * ld + i * spatial;

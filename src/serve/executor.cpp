@@ -24,17 +24,6 @@ namespace shrinkbench::serve {
 
 namespace {
 
-// Same per-chunk work floor as the dense nn kernels: every parallel_for
-// below partitions disjoint output slices, so fan-out never changes bits.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
-int64_t work_grain(int64_t per_index_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_index_elems, 1));
-}
-
-// Same per-tile channel floor as Conv2d's fused grid (see nn/conv2d.cpp).
-constexpr int64_t kMinOcPerTile = 4;
-
 // ---------------------------------------------------------------------------
 // Compiled convolution: one op covers all three modes. Weights are stored
 // flattened to [rows, in_c*k*k]; `row_of[c]` maps output channel c to its
@@ -70,14 +59,14 @@ class ConvOp : public Op {
       Workspace::Scope scope;
       Workspace& ws = Workspace::tls();
       float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
-      parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
+      parallel_for(0, n, grain_for(col_rows * spatial), [&](int64_t n0, int64_t n1) {
         for (int64_t i = n0; i < n1; ++i) {
           im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
         }
       });
       float* out_cm = ws.floats(static_cast<size_t>(std::max<int64_t>(csr_w.rows, 1) * ld));
       csr_matmul(csr_w, cols, ld, out_cm);
-      parallel_for(0, n, work_grain(out_c * spatial), [&](int64_t n0, int64_t n1) {
+      parallel_for(0, n, grain_for(out_c * spatial), [&](int64_t n0, int64_t n1) {
         for (int64_t i = n0; i < n1; ++i) {
           for (int64_t c = 0; c < out_c; ++c) {
             float* dst = y.data() + (i * out_c + c) * spatial;
@@ -100,11 +89,14 @@ class ConvOp : public Op {
     }
 
     // Dense/Shrunk: the same fused (sample × out-channel-tile) schedule
-    // as Conv2d::forward, so serving inherits batch-1 scaling. row_of is
-    // monotone over live channels, so a channel tile's live rows form
-    // one contiguous span of the packed weight matrix and the tile GEMM
-    // runs over exactly that span; dead channels take the fill path.
-    const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
+    // and work floor as Conv2d::forward. row_of is monotone over live
+    // channels, so a channel tile's live rows form one contiguous span
+    // of the packed weight matrix and the tile GEMM runs over exactly
+    // that span; dead channels take the fill path. Cell work counts
+    // live rows only: a shrunk conv does no GEMM work for dead channels.
+    const Grid2d grid(n, out_c, 1, kMinOcPerTile,
+                      dense_w.size(0) * col_rows * spatial / std::max<int64_t>(out_c, 1),
+                      ThreadPool::instance().threads());
     parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
       Workspace& ws = Workspace::tls();
       int64_t t = t_lo;
@@ -243,7 +235,7 @@ class BnOp : public Op {
     }
     const int64_t n = x.size(0), spatial = x.size(2) * x.size(3);
     Tensor y(x.shape());
-    parallel_for(0, n * channels, work_grain(spatial), [&](int64_t p0, int64_t p1) {
+    parallel_for(0, n * channels, grain_for(spatial), [&](int64_t p0, int64_t p1) {
       for (int64_t p = p0; p < p1; ++p) {
         const size_t c = static_cast<size_t>(p % channels);
         const float* src = x.data() + p * spatial;

@@ -246,8 +246,10 @@ void InferenceServer::worker_loop(int worker_index) {
       if (queue_.empty()) {
         drained = stopping_;  // nothing left to batch; exit only on drain
       } else {
-        // Dynamic batching: flush when full, or when the oldest request
-        // has waited max_wait_us.
+        // Work-conserving dynamic batching: take everything queued up to
+        // max_batch. A partial batch is held open only while another
+        // worker is executing, and then for at most max_wait_us from its
+        // oldest request. An idle server never sleeps on a partial batch.
         const auto flush_at =
             queue_.front().enqueued + std::chrono::microseconds(opts_.max_wait_us);
         batch.push_back(std::move(queue_.front()));
@@ -262,8 +264,10 @@ void InferenceServer::worker_loop(int worker_index) {
             continue;
           }
           if (stopping_) break;  // draining: never wait for more arrivals
+          if (stats_.busy_workers == 0) break;
           if (queue_nonempty_.wait_until(lk, flush_at) == std::cv_status::timeout) break;
         }
+        ++stats_.busy_workers;
       }
       depth_after = queue_.size();
       if (!expired.empty()) {
@@ -280,7 +284,15 @@ void InferenceServer::worker_loop(int worker_index) {
                  "serve.deadline_exceeded");
       publish_serve_status();
     }
-    if (!batch.empty()) run_batch(batch, worker_index);
+    if (!batch.empty()) {
+      run_batch(batch, worker_index);
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        --stats_.busy_workers;
+      }
+      // A peer holding a partial batch open for this worker re-checks.
+      queue_nonempty_.notify_all();
+    }
     if (drained && batch.empty()) return;
   }
 }

@@ -1,9 +1,14 @@
 // Async inference server over a compiled Executor.
 //
 // Architecture: callers submit() single samples into a bounded queue;
-// N worker threads pull, assemble dynamic batches (flush on max_batch or
-// max_wait_us, whichever first), run the executor, and fulfill one
-// future per request.
+// N worker threads pull, assemble dynamic batches, run the executor, and
+// fulfill one future per request. Batching is work-conserving: a worker
+// takes everything queued (up to max_batch) and flushes at once when no
+// other worker is executing. Only while a peer is busy does it hold a
+// partial batch open, until max_batch, the peer finishing, or
+// max_wait_us after the oldest request, whichever comes first. An idle
+// server therefore never delays a lone request, and batches still run
+// full once the backlog that builds during a forward reaches max_batch.
 //
 // Overload & failure discipline (the serving-side analogue of the
 // offline pipeline's crash safety):
@@ -95,8 +100,10 @@ struct DeadlineExceeded : std::runtime_error {
 struct ServerOptions {
   int workers = 1;            // batch-executing threads
   size_t queue_capacity = 256;
-  int64_t max_batch = 8;      // flush when a batch reaches this size...
-  int64_t max_wait_us = 2000; // ...or when its oldest request is this old
+  int64_t max_batch = 8;      // largest batch a worker assembles
+  /// Longest a partial batch is held open, from its oldest request,
+  /// while another worker is executing. An idle server flushes at once.
+  int64_t max_wait_us = 2000;
 
   /// Admission policy for a full queue. Unset falls back to
   /// SB_SERVE_OVERLOAD (block|reject|drop-oldest), then Block.
@@ -139,6 +146,7 @@ struct ServerStats {
   int64_t breaker_trips = 0;      // closed -> open transitions
   int64_t stalls = 0;             // watchdog-detected stuck batches
   int64_t batches = 0;            // batches fulfilled (primary or fallback)
+  int64_t busy_workers = 0;       // workers executing a batch right now
   size_t max_queue_depth = 0;
   BreakerState breaker_state = BreakerState::Closed;
 };

@@ -17,10 +17,6 @@ constexpr int64_t kBlockM = 64;
 constexpr int64_t kBlockN = 256;
 constexpr int64_t kBlockK = 256;
 
-// Don't fan a GEMM out unless each chunk carries at least this many
-// multiply-adds; below it the pool handoff costs more than it saves.
-constexpr int64_t kMinMaddsPerChunk = int64_t{1} << 19;
-
 // One contiguous range [g0, g1) of the jb-major (j0, i0) cache-block
 // grid: packs blocks of op(A) (scaled by alpha) and op(B) into the
 // thread-local arena and streams them through the block kernel. This is
@@ -85,8 +81,7 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, float alp
   // Scale / clear C first: C = beta * C. Rows are disjoint, so the
   // partition cannot change any element's value.
   if (beta != 1.0f && m > 0) {
-    const int64_t row_grain = std::max<int64_t>(1, (int64_t{1} << 16) / std::max<int64_t>(n, 1));
-    parallel_for(0, m, row_grain, [&](int64_t i0, int64_t i1) {
+    parallel_for(0, m, grain_for(n), [&](int64_t i0, int64_t i1) {
       for (int64_t i = i0; i < i1; ++i) {
         float* crow = c + i * ldc;
         if (beta == 0.0f) {
@@ -121,9 +116,7 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, float alp
   const int64_t n_jb = (n + kBlockN - 1) / kBlockN;
   const int64_t n_ib = (m + kBlockM - 1) / kBlockM;
   const int64_t madds_per_pair = std::min(kBlockM, m) * std::min(kBlockN, n) * k;
-  const int64_t grain =
-      std::max<int64_t>(1, kMinMaddsPerChunk / std::max<int64_t>(madds_per_pair, 1));
-
+  const int64_t grain = grain_for(madds_per_pair, kMinMaddsPerChunk);
   parallel_for(0, n_jb * n_ib, grain, [&](int64_t g0, int64_t g1) {
     gemm_block_range(kernel, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc, n_ib, g0,
                      g1);

@@ -23,7 +23,6 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 // so results are bit-identical for every thread count. Reductions (sum,
 // min/max, ...) stay sequential — splitting them would reorder the
 // accumulation. The grain keeps small tensors on the calling thread.
-constexpr int64_t kElemGrain = int64_t{1} << 16;
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -38,7 +37,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   Tensor out = a;
   float* o = out.data();
   const float* bp = b.data();
-  parallel_for(0, out.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+  parallel_for(0, out.numel(), kMinElemsPerChunk, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) o[i] -= bp[i];
   });
   return out;
@@ -55,7 +54,7 @@ void axpy(Tensor& a, float alpha, const Tensor& b) {
   check_same_shape(a, b, "axpy");
   float* ap = a.data();
   const float* bp = b.data();
-  parallel_for(0, a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+  parallel_for(0, a.numel(), kMinElemsPerChunk, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) ap[i] += alpha * bp[i];
   });
 }
@@ -64,7 +63,7 @@ void mul_inplace(Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "mul_inplace");
   float* ap = a.data();
   const float* bp = b.data();
-  parallel_for(0, a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+  parallel_for(0, a.numel(), kMinElemsPerChunk, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) ap[i] *= bp[i];
   });
 }
@@ -73,14 +72,14 @@ void add_inplace(Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add_inplace");
   float* ap = a.data();
   const float* bp = b.data();
-  parallel_for(0, a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+  parallel_for(0, a.numel(), kMinElemsPerChunk, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) ap[i] += bp[i];
   });
 }
 
 void scale_inplace(Tensor& a, float alpha) {
   float* ap = a.data();
-  parallel_for(0, a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+  parallel_for(0, a.numel(), kMinElemsPerChunk, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) ap[i] *= alpha;
   });
 }

@@ -121,6 +121,24 @@ inline void parallel_for(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
   ThreadPool::instance().parallel_for(begin, end, grain, static_cast<Fn&&>(fn));
 }
 
+/// Per-chunk work floors shared by every fan-out: below them the pool
+/// handoff costs more than the work it moves off the calling thread.
+/// kMinElemsPerChunk bounds elements touched by copy/elementwise loops,
+/// kMinMaddsPerChunk multiply-adds of a GEMM chunk or fused conv tile.
+constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
+constexpr int64_t kMinMaddsPerChunk = int64_t{1} << 19;
+
+/// Floor on output channels per fused conv tile: below it the tile GEMM
+/// degenerates to a few kernel rows and the restaged im2col columns
+/// dominate.
+constexpr int64_t kMinOcPerTile = 4;
+
+/// parallel_for grain that gives every chunk at least `floor` units of
+/// work when each index costs `per_index` units.
+constexpr int64_t grain_for(int64_t per_index, int64_t floor = kMinElemsPerChunk) {
+  return std::max<int64_t>(1, floor / std::max<int64_t>(per_index, 1));
+}
+
 /// Static 2-D tile grid for fused (sample × channel-tile) parallelism.
 ///
 /// The conv hot paths parallelize over samples, which starves the pool
@@ -143,17 +161,22 @@ class Grid2d {
 
   /// grain0/grain1 are per-tile floors: a tile never covers fewer than
   /// grainX indices of axis X unless the whole axis is smaller (grain
-  /// <= 0 means 1). `threads` sizes the grid (usually
+  /// <= 0 means 1). `cell_madds` is the work of one (i, j) cell in
+  /// multiply-adds: the grid forms no more tiles than the total work
+  /// holds kMinMaddsPerChunk floors, so work below two floors is a
+  /// single tile and runs inline. `threads` sizes the grid (usually
   /// ThreadPool::instance().threads()); 1 yields a single tile — the
   /// exact serial path.
-  Grid2d(int64_t n0, int64_t n1, int64_t grain0, int64_t grain1, int threads)
+  Grid2d(int64_t n0, int64_t n1, int64_t grain0, int64_t grain1, int64_t cell_madds, int threads)
       : n0_(n0 > 0 ? n0 : 0), n1_(n1 > 0 ? n1 : 0) {
-    const int64_t want = threads > 1 ? threads : 1;
+    const int64_t cap =
+        std::max<int64_t>(n0_ * n1_ * std::max<int64_t>(cell_madds, 1) / kMinMaddsPerChunk, 1);
+    const int64_t want = std::clamp<int64_t>(threads, 1, cap);
     const int64_t max0 = n0_ / (grain0 > 0 ? grain0 : 1);
     const int64_t max1 = n1_ / (grain1 > 0 ? grain1 : 1);
     t0_ = std::min<int64_t>(std::max<int64_t>(max0, 1), want);
     t1_ = t0_ >= want ? 1
-                      : std::min<int64_t>(std::max<int64_t>(max1, 1), (want + t0_ - 1) / t0_);
+                      : std::min({std::max<int64_t>(max1, 1), (want + t0_ - 1) / t0_, cap / t0_});
     if (n0_ == 0 || n1_ == 0) t0_ = t1_ = 0;
   }
 
@@ -198,8 +221,9 @@ inline void parallel_for_2d(const Grid2d& grid, Fn&& fn) {
 
 /// Convenience form: builds the grid from the live pool width.
 template <typename Fn>
-inline void parallel_for_2d(int64_t n0, int64_t n1, int64_t grain0, int64_t grain1, Fn&& fn) {
-  parallel_for_2d(Grid2d(n0, n1, grain0, grain1, ThreadPool::instance().threads()),
+inline void parallel_for_2d(int64_t n0, int64_t n1, int64_t grain0, int64_t grain1,
+                            int64_t cell_madds, Fn&& fn) {
+  parallel_for_2d(Grid2d(n0, n1, grain0, grain1, cell_madds, ThreadPool::instance().threads()),
                   static_cast<Fn&&>(fn));
 }
 

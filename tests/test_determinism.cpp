@@ -140,15 +140,17 @@ TEST_F(PoolFixture, TrainingCurveBitIdenticalAcrossThreadsAndBatchSizes) {
   }
 }
 
-// The point of the fused grid: a batch-1 conv forward must actually fan
-// out over the pool (the old per-sample split left threadpool.jobs flat
-// because one sample formed one chunk).
+// The point of the fused grid: a batch-1 conv forward with enough work
+// must actually fan out over the pool (the old per-sample split left
+// threadpool.jobs flat because one sample formed one chunk). This conv
+// carries 144 * 1024 * 64 = 9.4M multiply-adds, well above the grid's
+// work floor; smaller ones run inline (Conv2d.WorkFloorKeepsSmallConvsInline).
 TEST_F(PoolFixture, Batch1ConvForwardEngagesPool) {
   ThreadPool::instance().set_threads(4);
-  Conv2d conv("c", 8, 16, 3, 1, 1, /*bias=*/false);
+  Conv2d conv("c", 16, 64, 3, 1, 1, /*bias=*/false);
   Rng rng(23);
   rng.fill_normal(conv.weight().data, 0.0f, 1.0f);
-  Tensor x({1, 8, 12, 12});
+  Tensor x({1, 16, 32, 32});
   rng.fill_normal(x, 0.0f, 1.0f);
   obs::set_profiling_enabled(true);
   const int64_t jobs_before = obs::Profiler::instance().snapshot().counters["threadpool.jobs"];

@@ -17,7 +17,10 @@
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
 #include "nn/sequential.hpp"
+#include "obs/profile.hpp"
+#include "serve/executor.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/threadpool.hpp"
 
 namespace shrinkbench {
 namespace {
@@ -139,6 +142,49 @@ TEST(Conv2d, FlopsValidatesSampleShape) {
 TEST(Conv2d, RejectsWrongChannels) {
   Conv2d conv("c", 3, 4, 3, 1, 1);
   EXPECT_THROW(conv.forward(Tensor({1, 2, 8, 8}), false), std::invalid_argument);
+}
+
+// The fused conv grid's work floor: a conv below two kMinMaddsPerChunk
+// floors is one tile and runs inline, with no pool fan-out at all; a
+// batch-64 conv above it still splits. Either way the bits match the
+// single-threaded forward.
+TEST(Conv2d, WorkFloorKeepsSmallConvsInline) {
+  ThreadPool& pool = ThreadPool::instance();
+  const int original = pool.threads();
+  Sequential net("floor");
+  // 72 * 144 * 16 = 166k multiply-adds per sample.
+  net.emplace<Conv2d>("c", 8, 16, 3, 1, 1, true);
+  Rng rng(41);
+  init_model(net, rng);
+  const serve::Executor exec = serve::compile(net, {8, 12, 12}, serve::ExecMode::Dense);
+  const auto jobs = [] {
+    return obs::Profiler::instance().snapshot().counters["threadpool.jobs"];
+  };
+
+  obs::set_profiling_enabled(true);
+  for (const int64_t batch : {int64_t{1}, int64_t{64}}) {
+    const Tensor x = random_input({batch, 8, 12, 12}, 42);
+    pool.set_threads(1);
+    const Tensor conv_ref = net.forward(x, false);
+    const Tensor exec_ref = exec.forward(x);
+    pool.set_threads(4);
+    const int64_t before = jobs();
+    const Tensor conv_y = net.forward(x, false);
+    const int64_t conv_jobs = jobs() - before;
+    const Tensor exec_y = exec.forward(x);
+    const int64_t exec_jobs = jobs() - before - conv_jobs;
+    if (batch == 1) {
+      EXPECT_EQ(conv_jobs, 0) << "batch-1 Conv2d below the floor fanned out";
+      EXPECT_EQ(exec_jobs, 0) << "batch-1 serve::ConvOp below the floor fanned out";
+    } else {
+      EXPECT_GT(conv_jobs, 0) << "batch-64 Conv2d above the floor ran inline";
+      EXPECT_GT(exec_jobs, 0) << "batch-64 serve::ConvOp above the floor ran inline";
+    }
+    EXPECT_TRUE(ops::allclose(conv_y, conv_ref, 0, 0)) << "batch " << batch;
+    EXPECT_TRUE(ops::allclose(exec_y, exec_ref, 0, 0)) << "batch " << batch;
+  }
+  obs::set_profiling_enabled(false);
+  pool.set_threads(original);
 }
 
 // ---- BatchNorm ----

@@ -1,7 +1,7 @@
 // Serving engine tests: compiler parity against the eval-mode model,
-// dynamic-batcher semantics (max-wait flush, full-batch flush, lossless
-// drain), parallel CSR matmul determinism, and steady-state zero-growth
-// of the sparse inference scratch paths.
+// dynamic-batcher semantics (work-conserving flush, backlog coalescing,
+// max-wait flush, lossless drain), parallel CSR matmul determinism, and
+// steady-state zero-growth of the sparse inference scratch paths.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -13,6 +13,8 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/allocation.hpp"
@@ -24,6 +26,7 @@
 #include "nn/layer.hpp"
 #include "nn/linear.hpp"
 #include "nn/sparse.hpp"
+#include "obs/io.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
@@ -150,9 +153,10 @@ TEST(ServeExecutor, ModeNamesRoundTrip) {
 // ---- fused-grid executors: bit-identical across thread counts ----
 
 TEST(ServeExecutor, ForwardBitIdenticalAcrossThreadCounts) {
-  // The conv ops fan out over a fused (sample x out-channel-tile) grid,
-  // so even batch-1 forwards engage the pool; the static partition must
-  // keep every mode's output bit-identical at any SB_THREADS.
+  // The conv ops fan out over a fused (sample x out-channel-tile) grid
+  // once their work clears its floor (batch 7 here; batch 1 runs
+  // inline); the static partition must keep every mode's output
+  // bit-identical at any SB_THREADS.
   ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, 0.5);
   ThreadPool& pool = ThreadPool::instance();
   const int original = pool.threads();
@@ -261,27 +265,101 @@ Tensor random_sample(Rng& rng) {
   return s;
 }
 
-TEST(ServeBatcher, FullBatchFlushesWithoutWaitingForTheTimer) {
+// Polls `pred` for up to 5 s; true once it holds.
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
+}
+
+// Clears the fault spec even when an assertion returns early.
+struct FaultSpecGuard {
+  explicit FaultSpecGuard(const std::string& spec) { obs::set_fault_spec(spec); }
+  ~FaultSpecGuard() { obs::set_fault_spec(""); }
+};
+
+TEST(ServeBatcher, IdleServerFlushesLoneRequestImmediately) {
   Rng rng(3);
   ModelPtr m = tiny_model(rng);
   const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 4;
-  opts.max_wait_us = 10'000'000;  // 10 s: only a full batch can flush fast
+  opts.max_wait_us = 10'000'000;  // 10 s: a wait-to-fill batcher would sit on it
+  InferenceServer server(exec, opts);
+  std::future<Tensor> fut = server.submit(random_sample(rng));
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(1)), std::future_status::ready)
+      << "an idle server held a lone request for the max-wait timer";
+  EXPECT_EQ(fut.get().shape(), (Shape{4}));
+  server.shutdown();
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.completed, 1);
+  EXPECT_EQ(st.batches, 1);
+  EXPECT_EQ(st.busy_workers, 0);
+}
+
+TEST(ServeBatcher, BacklogBehindBusyWorkerCoalesces) {
+  Rng rng(5);
+  ModelPtr m = tiny_model(rng);
+  const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
+  FaultSpecGuard stall("serve.worker_stall:1");  // parks the first batch for 25 ms
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.max_batch = 4;
+  opts.max_wait_us = 10'000'000;
+  opts.stall_timeout_ms = 0;  // no watchdog: the parked batch still succeeds
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;
-  for (int i = 0; i < 4; ++i) futs.push_back(server.submit(random_sample(rng)));
+  futs.push_back(server.submit(random_sample(rng)));
+  ASSERT_TRUE(eventually([&] { return server.stats().busy_workers == 1; }))
+      << "the first batch never started";
+  for (int64_t i = 0; i < opts.max_batch; ++i) futs.push_back(server.submit(random_sample(rng)));
   for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
-        << "full batch did not flush before the max-wait timer";
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+    EXPECT_EQ(f.get().shape(), (Shape{4}));
+  }
+  server.shutdown();
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.completed, 1 + opts.max_batch);
+  EXPECT_EQ(st.failed, 0);
+  // The head's batch was executing before the rest were submitted, so
+  // it held the head alone; two batches for 1 + max_batch requests then
+  // means the backlog behind it ran as one full batch of max_batch.
+  EXPECT_EQ(st.batches, 2);
+}
+
+TEST(ServeBatcher, WorkerHoldsPartialBatchWhilePeerIsBusy) {
+  Rng rng(7);
+  ModelPtr m = tiny_model(rng);
+  const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
+  FaultSpecGuard stall("serve.worker_stall:1");  // parks one worker for 25 ms
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.max_batch = 8;
+  opts.max_wait_us = 10'000'000;
+  opts.stall_timeout_ms = 0;
+  InferenceServer server(exec, opts);
+  std::vector<std::future<Tensor>> futs;
+  futs.push_back(server.submit(random_sample(rng)));
+  ASSERT_TRUE(eventually([&] { return server.stats().busy_workers == 1; }))
+      << "the first batch never started";
+  // The idle peer takes the first of these and, with a busy peer, holds
+  // its partial batch open: the rest join it instead of flushing alone.
+  for (int i = 0; i < 3; ++i) futs.push_back(server.submit(random_sample(rng)));
+  for (auto& f : futs) {
+    // It flushes once the parked peer finishes, long before max_wait_us.
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
     EXPECT_EQ(f.get().shape(), (Shape{4}));
   }
   server.shutdown();
   const ServerStats st = server.stats();
   EXPECT_EQ(st.completed, 4);
   EXPECT_EQ(st.failed, 0);
-  EXPECT_EQ(st.batches, 1);  // one full batch, not four timer flushes
+  EXPECT_EQ(st.batches, 2);
 }
 
 TEST(ServeBatcher, MaxWaitFlushesPartialBatch) {

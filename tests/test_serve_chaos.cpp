@@ -526,7 +526,7 @@ TEST_F(ServeChaos, FailedRequestsLandInRequestsCounterAndLatencyHistogram) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 4;
-  opts.max_wait_us = 60'000'000;  // one drain-flushed batch of 4
+  opts.max_wait_us = 60'000'000;  // never the flush trigger
   opts.breaker_threshold = 0;
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;

@@ -244,6 +244,10 @@ TEST_F(PoolFixture, Im2colCol2imBitIdenticalAcrossThreadCounts) {
 
 // ---- Fused 2-D grid (Grid2d / parallel_for_2d) ----
 
+// A cell carrying a whole work floor: the grid's work cap never binds,
+// so these tests see only the axis and grain rules.
+constexpr int64_t kFullCell = kMinMaddsPerChunk;
+
 TEST_F(PoolFixture, Grid2dCoversEveryCellExactlyOnce) {
   for (const int threads : {1, 2, 4, 7}) {
     ThreadPool::instance().set_threads(threads);
@@ -252,11 +256,14 @@ TEST_F(PoolFixture, Grid2dCoversEveryCellExactlyOnce) {
           {1, 1, 1, 1}, {13, 31, 3, 7}}) {
       std::vector<int> hits(static_cast<size_t>(n0 * n1), 0);
       // Tiles cover disjoint (i, j) rectangles, so these writes never race.
-      parallel_for_2d(n0, n1, g0, g1, [&](int64_t lo0, int64_t hi0, int64_t lo1, int64_t hi1) {
-        for (int64_t i = lo0; i < hi0; ++i) {
-          for (int64_t j = lo1; j < hi1; ++j) ++hits[static_cast<size_t>(i * n1 + j)];
-        }
-      });
+      parallel_for_2d(n0, n1, g0, g1, kFullCell,
+                      [&](int64_t lo0, int64_t hi0, int64_t lo1, int64_t hi1) {
+                        for (int64_t i = lo0; i < hi0; ++i) {
+                          for (int64_t j = lo1; j < hi1; ++j) {
+                            ++hits[static_cast<size_t>(i * n1 + j)];
+                          }
+                        }
+                      });
       for (const int h : hits) {
         ASSERT_EQ(h, 1) << "n0=" << n0 << " n1=" << n1 << " threads=" << threads;
       }
@@ -267,33 +274,33 @@ TEST_F(PoolFixture, Grid2dCoversEveryCellExactlyOnce) {
 TEST_F(PoolFixture, Grid2dSplitsAxis0First) {
   // Enough samples for every pool slot: axis 1 must not split, so the
   // per-tile staging cost is paid exactly once per sample.
-  const Grid2d batched(/*n0=*/32, /*n1=*/16, 1, 4, /*threads=*/4);
+  const Grid2d batched(/*n0=*/32, /*n1=*/16, 1, 4, kFullCell, /*threads=*/4);
   EXPECT_EQ(batched.tiles0(), 4);
   EXPECT_EQ(batched.tiles1(), 1);
 
   // Batch below the pool width: the channel axis supplies the missing
   // parallelism (the batch-1 serving case).
-  const Grid2d starved(/*n0=*/1, /*n1=*/16, 1, 4, /*threads=*/4);
+  const Grid2d starved(/*n0=*/1, /*n1=*/16, 1, 4, kFullCell, /*threads=*/4);
   EXPECT_EQ(starved.tiles0(), 1);
   EXPECT_EQ(starved.tiles1(), 4);
 
-  const Grid2d half(/*n0=*/2, /*n1=*/16, 1, 4, /*threads=*/4);
+  const Grid2d half(/*n0=*/2, /*n1=*/16, 1, 4, kFullCell, /*threads=*/4);
   EXPECT_EQ(half.tiles0(), 2);
   EXPECT_EQ(half.tiles1(), 2);
 
   // threads=1 is always the exact serial path: one tile.
-  const Grid2d serial(/*n0=*/32, /*n1=*/16, 1, 4, /*threads=*/1);
+  const Grid2d serial(/*n0=*/32, /*n1=*/16, 1, 4, kFullCell, /*threads=*/1);
   EXPECT_EQ(serial.tiles(), 1);
 }
 
 TEST_F(PoolFixture, Grid2dHonorsGrainFloors) {
   // grain1=4 caps the channel split at n1/4 tiles even when the pool
   // wants more; no tile may cover fewer than grain indices of its axis.
-  const Grid2d grid(/*n0=*/1, /*n1=*/6, 1, 4, /*threads=*/8);
+  const Grid2d grid(/*n0=*/1, /*n1=*/6, 1, 4, kFullCell, /*threads=*/8);
   EXPECT_EQ(grid.tiles0(), 1);
   EXPECT_EQ(grid.tiles1(), 1);  // 6 / 4 = 1 tile: splitting would go below the floor
 
-  const Grid2d wide(/*n0=*/1, /*n1=*/64, 1, 4, /*threads=*/8);
+  const Grid2d wide(/*n0=*/1, /*n1=*/64, 1, 4, kFullCell, /*threads=*/8);
   EXPECT_EQ(wide.tiles1(), 8);
   for (int64_t i = 0; i < wide.tiles1(); ++i) {
     const Grid2d::Range r = wide.range1(i);
@@ -301,18 +308,39 @@ TEST_F(PoolFixture, Grid2dHonorsGrainFloors) {
   }
 
   // Empty axes yield an empty grid and the body never runs.
-  const Grid2d empty(/*n0=*/0, /*n1=*/16, 1, 1, /*threads=*/4);
+  const Grid2d empty(/*n0=*/0, /*n1=*/16, 1, 1, kFullCell, /*threads=*/4);
   EXPECT_EQ(empty.tiles(), 0);
   int calls = 0;
   parallel_for_2d(empty, [&](int64_t, int64_t, int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
+TEST_F(PoolFixture, Grid2dFormsNoTileBelowTheWorkFloor) {
+  // Total work of one floor: a single tile, however wide the pool.
+  const Grid2d tiny(/*n0=*/1, /*n1=*/64, 1, 4, kMinMaddsPerChunk / 64, /*threads=*/8);
+  EXPECT_EQ(tiny.tiles(), 1);
+  // Just under two floors still runs inline.
+  const Grid2d under(/*n0=*/1, /*n1=*/64, 1, 4, 2 * kMinMaddsPerChunk / 64 - 1, /*threads=*/8);
+  EXPECT_EQ(under.tiles(), 1);
+  // Three floors: three channel tiles, not the eight the pool asks for.
+  const Grid2d three(/*n0=*/1, /*n1=*/64, 1, 4, 3 * kMinMaddsPerChunk / 64, /*threads=*/8);
+  EXPECT_EQ(three.tiles0(), 1);
+  EXPECT_EQ(three.tiles1(), 3);
+  // The cap binds the product of both axes: 2 samples x 2 channel tiles
+  // would fill 3 threads, but 3 floors of work allow only 2 tiles.
+  const Grid2d both(/*n0=*/2, /*n1=*/16, 1, 4, 3 * kMinMaddsPerChunk / 32, /*threads=*/3);
+  EXPECT_EQ(both.tiles0(), 2);
+  EXPECT_EQ(both.tiles1(), 1);
+  // Ample work keeps the pool-width tiling.
+  const Grid2d big(/*n0=*/1, /*n1=*/64, 1, 4, kMinMaddsPerChunk, /*threads=*/8);
+  EXPECT_EQ(big.tiles1(), 8);
+}
+
 TEST_F(PoolFixture, Grid2dTileIdsEnumerateAxis1Fastest) {
   // Consecutive tile ids within one axis-0 row must share that row's
   // sample range — the property the conv forward relies on to stage
   // im2col once per row per chunk.
-  const Grid2d grid(/*n0=*/3, /*n1=*/32, 1, 4, /*threads=*/8);
+  const Grid2d grid(/*n0=*/3, /*n1=*/32, 1, 4, kFullCell, /*threads=*/8);
   ASSERT_GT(grid.tiles1(), 1);
   for (int64_t t = 0; t + 1 < grid.tiles(); ++t) {
     if (grid.tile0(t) == grid.tile0(t + 1)) {
