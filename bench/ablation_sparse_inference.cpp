@@ -3,19 +3,25 @@
 // The paper (§2.3) cautions that an unstructured-pruned network "may not
 // be arranged in a fashion conducive to speedups using modern libraries
 // and hardware" — theoretical speedup (madds ratio) is a proxy. This bench
-// times the dense GEMM-based kernels against CSR sparse kernels for conv
-// and linear layers across sparsity levels and reports the crossover: the
-// sparsity below which "N× theoretical speedup" delivers <1× wall-clock.
+// compiles a single conv and a single linear layer with serve::compile,
+// times the dense executor (the GEMM kernels) against the CSR executor
+// (the sparse kernels) across sparsity levels, and reports the crossover:
+// the sparsity below which "N× theoretical speedup" delivers <1×
+// wall-clock.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "nn/init.hpp"
 #include "metrics/storage.hpp"
 #include "models/zoo.hpp"
-#include "nn/sparse.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "serve/executor.hpp"
 
 using namespace shrinkbench;
 
@@ -37,6 +43,17 @@ void apply_sparsity(Parameter& p, double sparsity, Rng& rng) {
   p.apply_mask();
 }
 
+// Wraps one layer in a model so serve::compile can take it; returns the
+// model and the layer, whose mask the sweep keeps changing.
+template <typename L, typename... Args>
+std::pair<std::unique_ptr<Sequential>, L*> single_layer(Args&&... args) {
+  auto layer = std::make_unique<L>(std::forward<Args>(args)...);
+  L* raw = layer.get();
+  auto model = std::make_unique<Sequential>("single");
+  model->add(std::move(layer));
+  return {std::move(model), raw};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,17 +67,19 @@ int main(int argc, char** argv) {
 
   // Conv: 32->32 channels, 3x3, 12x12 maps, batch 32 — a mid-size layer.
   {
-    Conv2d conv("c", 32, 32, 3, 1, 1, false);
-    kaiming_normal(conv.weight().data, rng);
+    auto [model, conv] = single_layer<Conv2d>("c", 32, 32, 3, 1, 1, false);
+    kaiming_normal(conv->weight().data, rng);
+    const Shape sample{32, 12, 12};
     Tensor x({32, 32, 12, 12});
     rng.fill_normal(x, 0, 1);
-    const double dense_time = time_seconds([&] { conv.forward(x, false); }, reps);
+    const serve::Executor dense = serve::compile(*model, sample, serve::ExecMode::Dense);
+    const double dense_time = time_seconds([&] { dense.forward(x); }, reps);
 
     report::Table table(
         {"conv sparsity", "theoretical speedup", "dense ms", "sparse ms", "wall-clock speedup"});
     for (const double sparsity : {0.0, 0.5, 0.75, 0.9, 0.97, 0.99}) {
-      apply_sparsity(conv.weight(), sparsity, rng);
-      const SparseConv2dInference sparse(conv);
+      apply_sparsity(conv->weight(), sparsity, rng);
+      const serve::Executor sparse = serve::compile(*model, sample, serve::ExecMode::Csr);
       const double sparse_time = time_seconds([&] { sparse.forward(x); }, reps);
       const double theoretical = 1.0 / std::max(1e-9, 1.0 - sparsity);
       const double wallclock = dense_time / sparse_time;
@@ -76,17 +95,19 @@ int main(int argc, char** argv) {
 
   // Linear: 512 -> 512, batch 64.
   {
-    Linear fc("fc", 512, 512, false);
-    kaiming_normal(fc.weight().data, rng);
+    auto [model, fc] = single_layer<Linear>("fc", 512, 512, false);
+    kaiming_normal(fc->weight().data, rng);
+    const Shape sample{512};
     Tensor x({64, 512});
     rng.fill_normal(x, 0, 1);
-    const double dense_time = time_seconds([&] { fc.forward(x, false); }, reps);
+    const serve::Executor dense = serve::compile(*model, sample, serve::ExecMode::Dense);
+    const double dense_time = time_seconds([&] { dense.forward(x); }, reps);
 
     report::Table table(
         {"linear sparsity", "theoretical speedup", "dense ms", "sparse ms", "wall-clock speedup"});
     for (const double sparsity : {0.0, 0.5, 0.75, 0.9, 0.97, 0.99}) {
-      apply_sparsity(fc.weight(), sparsity, rng);
-      const SparseLinearInference sparse(fc);
+      apply_sparsity(fc->weight(), sparsity, rng);
+      const serve::Executor sparse = serve::compile(*model, sample, serve::ExecMode::Csr);
       const double sparse_time = time_seconds([&] { sparse.forward(x); }, reps);
       const double theoretical = 1.0 / std::max(1e-9, 1.0 - sparsity);
       table.add_row({report::Table::num(sparsity, 2), report::Table::num(theoretical, 1),

@@ -16,9 +16,8 @@
 #include "metrics/storage.hpp"
 #include "models/zoo.hpp"
 #include "nn/checkpoint.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/init.hpp"
-#include "nn/sparse.hpp"
+#include "serve/executor.hpp"
 
 using namespace shrinkbench;
 
@@ -31,33 +30,14 @@ double time_forward(Model& model, const Tensor& x, int reps) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() / reps;
 }
 
-// Sparse-executes every conv of the model once (linear layers stay dense:
-// they are tiny here) and returns the mean latency.
-double time_sparse_convs(Model& model, const Tensor& x, int reps) {
-  std::vector<Conv2d*> convs;
-  visit_layers(model, [&](Layer& l) {
-    if (auto* c = dynamic_cast<Conv2d*>(&l)) convs.push_back(c);
-  });
-  std::vector<SparseConv2dInference> sparse;
-  sparse.reserve(convs.size());
-  for (Conv2d* c : convs) sparse.emplace_back(*c);
-  // Time conv-by-conv on uniform-size random probes (a kernel-latency
-  // comparison, not an exact per-layer replay), summing — the convs are
-  // the model's hot path.
-  Rng rng(123);
-  double total = 0.0;
-  for (size_t i = 0; i < convs.size(); ++i) {
-    const int64_t in_c = convs[i]->in_channels();
-    const int64_t hw = x.size(2);
-    Tensor xi({x.size(0), in_c, hw, hw});
-    rng.fill_normal(xi, 0, 1);
-    sparse[i].forward(xi);  // warm-up
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) sparse[i].forward(xi);
-    total +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() / reps;
-  }
-  return total;
+// Compiles the pruned model to a CSR executor (effective weights, BN
+// folded, ReLU fused) and returns its mean batch latency.
+double time_csr_executor(Model& model, const Shape& sample, const Tensor& x, int reps) {
+  const serve::Executor exec = serve::compile(model, sample, serve::ExecMode::Csr);
+  exec.forward(x);  // warm-up
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < reps; ++i) exec.forward(x);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() / reps;
 }
 
 }  // namespace
@@ -83,7 +63,7 @@ int main() {
   rng.fill_normal(probe, 0, 1);
 
   std::printf("%-18s %-8s %-12s %-10s %-12s %-14s %-12s\n", "strategy", "ratio", "top1",
-              "speedup", "dense ms", "sparse-conv ms", "csr bytes");
+              "speedup", "dense ms", "csr exec ms", "csr bytes");
   for (const double ratio : {4.0, 8.0}) {
     for (const char* strategy : {"global-weight", "global-channel"}) {
       load_state_dict(*model, pretrained);
@@ -95,7 +75,8 @@ int main() {
       train_model(*model, data, finetune);
 
       const double dense_ms = time_forward(*model, probe, 10) * 1e3;
-      const double sparse_ms = time_sparse_convs(*model, probe, 10) * 1e3;
+      const double sparse_ms =
+          time_csr_executor(*model, data.train.sample_shape(), probe, 10) * 1e3;
       std::printf("%-18s %-8.0f %-12.4f %-10.2f %-12.3f %-14.3f %-12lld\n", strategy, ratio,
                   evaluate(*model, data.test).top1,
                   theoretical_speedup(*model, data.train.sample_shape()), dense_ms, sparse_ms,
@@ -103,7 +84,7 @@ int main() {
     }
   }
   std::printf("\nReading: unstructured keeps more accuracy; structured masks turn whole\n"
-              "filters off so the same CSR kernels traverse far fewer rows — and the dense\n"
+              "filters off so the CSR executor traverses far fewer rows — and the dense\n"
               "kernel itself skips zero channels. Theoretical speedup treats both alike;\n"
               "wall-clock does not (paper §2.3, §2.4).\n");
   return 0;

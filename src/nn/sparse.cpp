@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "tensor/im2col.hpp"
 #include "tensor/threadpool.hpp"
-#include "tensor/workspace.hpp"
 
 namespace shrinkbench {
 
@@ -55,18 +53,23 @@ void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* d
   const int64_t avg_row_work =
       csr.rows == 0 ? 0 : (csr.nnz() * n) / std::max<int64_t>(csr.rows, 1) + n;
   parallel_for(0, csr.rows, grain_for(avg_row_work), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      float* out_row = dense_out + r * n;
-      std::fill(out_row, out_row + n, 0.0f);
-      const int64_t begin = csr.row_ptr[static_cast<size_t>(r)];
-      const int64_t end = csr.row_ptr[static_cast<size_t>(r) + 1];
-      for (int64_t e = begin; e < end; ++e) {
-        const float v = csr.values[static_cast<size_t>(e)];
-        const float* in_row = dense_in + csr.col_idx[static_cast<size_t>(e)] * n;
-        for (int64_t j = 0; j < n; ++j) out_row[j] += v * in_row[j];
-      }
-    }
+    csr_matmul_rows(csr, r0, r1, dense_in, n, dense_out + r0 * n);
   });
+}
+
+void csr_matmul_rows(const CsrMatrix& csr, int64_t r_lo, int64_t r_hi, const float* dense_in,
+                     int64_t n, float* out) {
+  for (int64_t r = r_lo; r < r_hi; ++r) {
+    float* out_row = out + (r - r_lo) * n;
+    std::fill(out_row, out_row + n, 0.0f);
+    const int64_t begin = csr.row_ptr[static_cast<size_t>(r)];
+    const int64_t end = csr.row_ptr[static_cast<size_t>(r) + 1];
+    for (int64_t e = begin; e < end; ++e) {
+      const float v = csr.values[static_cast<size_t>(e)];
+      const float* in_row = dense_in + csr.col_idx[static_cast<size_t>(e)] * n;
+      for (int64_t j = 0; j < n; ++j) out_row[j] += v * in_row[j];
+    }
+  }
 }
 
 Tensor csr_to_dense(const CsrMatrix& csr) {
@@ -78,89 +81,6 @@ Tensor csr_to_dense(const CsrMatrix& csr) {
     }
   }
   return dense;
-}
-
-SparseConv2dInference::SparseConv2dInference(Conv2d& conv)
-    : conv_(conv),
-      weights_(csr_from_parameter(conv.weight())),
-      in_c_(conv.in_channels()),
-      out_c_(conv.out_channels()),
-      kernel_(conv.kernel()),
-      stride_(conv.stride()),
-      pad_(conv.padding()) {}
-
-Tensor SparseConv2dInference::forward(const Tensor& x) const {
-  if (x.dim() != 4 || x.size(1) != in_c_) {
-    throw std::invalid_argument("SparseConv2dInference: bad input " + to_string(x.shape()));
-  }
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const ConvGeometry g{in_c_, h, w, kernel_, kernel_, stride_, pad_};
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t ld = n * g.col_cols();
-  const int64_t spatial = oh * ow;
-  const int64_t image_numel = in_c_ * h * w;
-
-  // Scratch lives in the thread-local arena (PR 3's dense-path pattern):
-  // after warm-up, steady-state forwards perform zero heap allocations.
-  Workspace::Scope scope;
-  Workspace& ws = Workspace::tls();
-  float* cols = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-  parallel_for(0, n, grain_for(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      im2col_ld(g, x.data() + i * image_numel, cols + i * g.col_cols(), ld);
-    }
-  });
-  float* out_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
-  csr_matmul(weights_, cols, ld, out_cm);
-
-  Tensor y({n, out_c_, oh, ow});
-  const float* bias = conv_.bias() != nullptr ? conv_.bias()->data.data() : nullptr;
-  parallel_for(0, n, grain_for(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      for (int64_t c = 0; c < out_c_; ++c) {
-        const float* src = out_cm + c * ld + i * spatial;
-        float* dst = y.data() + (i * out_c_ + c) * spatial;
-        if (bias == nullptr) {
-          std::copy(src, src + spatial, dst);
-        } else {
-          const float b = bias[c];
-          for (int64_t s = 0; s < spatial; ++s) dst[s] = src[s] + b;
-        }
-      }
-    }
-  });
-  return y;
-}
-
-SparseLinearInference::SparseLinearInference(Linear& linear)
-    : linear_(linear), weights_(csr_from_parameter(linear.weight())) {}
-
-Tensor SparseLinearInference::forward(const Tensor& x) const {
-  if (x.dim() != 2 || x.size(1) != weights_.cols) {
-    throw std::invalid_argument("SparseLinearInference: bad input " + to_string(x.shape()));
-  }
-  const int64_t n = x.size(0), in = weights_.cols, out = weights_.rows;
-  // Workspace scratch: steady-state forwards allocate nothing on the heap.
-  Workspace::Scope scope;
-  Workspace& ws = Workspace::tls();
-  // Transpose x to [in, n] so CSR rows stream over the batch dimension.
-  float* xt = ws.floats(static_cast<size_t>(in * n));
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < in; ++j) xt[static_cast<size_t>(j * n + i)] = x(i, j);
-  }
-  float* yt = ws.floats(static_cast<size_t>(out * n));
-  csr_matmul(weights_, xt, n, yt);
-
-  Tensor y({n, out});
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < out; ++j) y(i, j) = yt[static_cast<size_t>(j * n + i)];
-  }
-  if (const Parameter* bias = linear_.bias()) {
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < out; ++j) y(i, j) += bias->data.at(j);
-    }
-  }
-  return y;
 }
 
 }  // namespace shrinkbench

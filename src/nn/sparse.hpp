@@ -4,10 +4,12 @@
 // a fashion conducive to speedups using modern libraries and hardware" —
 // parameter and FLOP counts are proxies, not wall-clock. This module makes
 // that claim measurable in-repo: masked weights can be compiled to CSR and
-// executed with sparse kernels, and bench/ablation_sparse_inference
-// locates the sparsity level where sparse execution actually overtakes the
-// dense kernels (typically far above the 50-75% a "2-4x compression"
-// headline suggests).
+// multiplied with sparse kernels. The serving executor (serve::compile
+// with ExecMode::Csr) is the one place conv and linear layers run on
+// them; bench/ablation_sparse_inference drives it to locate the sparsity
+// level where sparse execution actually overtakes the dense kernels
+// (typically far above the 50-75% a "2-4x compression" headline
+// suggests).
 //
 // Inference-only: backward is intentionally unsupported.
 #pragma once
@@ -15,8 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
+#include "nn/parameter.hpp"
 #include "tensor/tensor.hpp"
 
 namespace shrinkbench {
@@ -44,39 +45,19 @@ CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float t
 CsrMatrix csr_from_parameter(const Parameter& param);
 
 /// dense_out[rows, n] = csr[rows, cols] * dense_in[cols, n]; out must be
-/// preallocated, is overwritten.
+/// preallocated, is overwritten. Fans out over static row blocks of
+/// csr_matmul_rows, so the result is bit-identical at any SB_THREADS.
 void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* dense_out);
+
+/// Serial kernel behind csr_matmul and the serving executor's CSR conv:
+/// rows [r_lo, r_hi) of csr * dense_in[cols, n], written to
+/// out[(r - r_lo) * n + j] (overwritten). Every output element sums its
+/// row's entries in ascending order, whatever the row range or n, so
+/// splitting rows or columns never changes a bit.
+void csr_matmul_rows(const CsrMatrix& csr, int64_t r_lo, int64_t r_hi, const float* dense_in,
+                     int64_t n, float* out);
 
 /// Reconstructs the dense matrix (for tests).
 Tensor csr_to_dense(const CsrMatrix& csr);
-
-/// Inference-only sparse view of a trained+pruned Conv2d: weights are
-/// frozen into CSR at construction; forward lowers via the same batched
-/// im2col as the dense layer but multiplies with the sparse kernel.
-class SparseConv2dInference {
- public:
-  explicit SparseConv2dInference(Conv2d& conv);
-
-  Tensor forward(const Tensor& x) const;
-  double density() const { return weights_.density(); }
-
- private:
-  Conv2d& conv_;
-  CsrMatrix weights_;  // [out_c, in_c*kh*kw]
-  int64_t in_c_, out_c_, kernel_, stride_, pad_;
-};
-
-/// Inference-only sparse view of a pruned Linear layer.
-class SparseLinearInference {
- public:
-  explicit SparseLinearInference(Linear& linear);
-
-  Tensor forward(const Tensor& x) const;  // x: [N, in]
-  double density() const { return weights_.density(); }
-
- private:
-  Linear& linear_;
-  CsrMatrix weights_;  // [out, in]
-};
 
 }  // namespace shrinkbench

@@ -24,10 +24,84 @@ namespace shrinkbench::serve {
 
 namespace {
 
+using OpList = std::vector<std::unique_ptr<Op>>;
+
+// Floats of im2col columns one conv tile stages at a time (256 KiB): a
+// tile lowers as many whole samples as fit, at least one, multiplies
+// them, and moves on, so the staged block stays cache-resident for every
+// channel tile that reads it. Batch-64 cifar-vgg rounds on a 4-core
+// AVX-512 host: 2^15-2^17 within noise of each other, 2^18 about 5%
+// slower, 2^20 about 15% slower.
+constexpr int64_t kColBudget = int64_t{1} << 16;
+
+// nn::ReLU's exact rule: negatives become +0; -0.0f and NaN pass through.
+inline float clamp0(float v) { return v < 0.0f ? 0.0f : v; }
+
+// dst = src (+ bias) (clamped when relu). Separate loops keep the
+// no-bias path from adding 0.0f, which would turn -0.0f into +0.0f and
+// break Dense bit identity.
+void write_back(const float* src, int64_t len, const float* bias, bool relu, float* dst) {
+  if (bias == nullptr) {
+    if (!relu) {
+      std::copy(src, src + len, dst);
+    } else {
+      for (int64_t k = 0; k < len; ++k) dst[k] = clamp0(src[k]);
+    }
+    return;
+  }
+  const float b = *bias;
+  if (!relu) {
+    for (int64_t k = 0; k < len; ++k) dst[k] = src[k] + b;
+  } else {
+    for (int64_t k = 0; k < len; ++k) dst[k] = clamp0(src[k] + b);
+  }
+}
+
+[[noreturn]] void bad_input(const char* op, const Shape& in) {
+  throw std::invalid_argument(std::string("serve::") + op + ": bad input " +
+                              shrinkbench::to_string(in));
+}
+
+// Shapes flowing through `ops` for input shape `in`: in, then each op's
+// output (validating every op against its input).
+std::vector<Shape> shapes_of(const OpList& ops, const Shape& in) {
+  std::vector<Shape> shapes;
+  shapes.reserve(ops.size() + 1);
+  shapes.push_back(in);
+  for (const auto& op : ops) shapes.push_back(op->out_shape(shapes.back()));
+  return shapes;
+}
+
+// Runs `ops` over x (shapes from shapes_of), the last op writing y.
+// Intermediates ping-pong between two buffers of the calling thread's
+// workspace, sized to the largest; x is never written, so a residual
+// block's input stays live in its caller's buffer while the branches run.
+void run_ops(const OpList& ops, const std::vector<Shape>& shapes, const float* x, float* y) {
+  if (ops.empty()) {
+    std::copy(x, x + numel_of(shapes.front()), y);
+    return;
+  }
+  int64_t inter = 0;
+  for (size_t i = 1; i < ops.size(); ++i) inter = std::max(inter, numel_of(shapes[i]));
+  Workspace::Scope scope;
+  Workspace& ws = Workspace::tls();
+  float* buf[2] = {nullptr, nullptr};
+  if (ops.size() > 1) buf[0] = ws.floats(static_cast<size_t>(inter));
+  if (ops.size() > 2) buf[1] = ws.floats(static_cast<size_t>(inter));
+  const float* cur = x;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    float* dst = i + 1 == ops.size() ? y : buf[i % 2];
+    SB_PROFILE_SCOPE(ops[i]->kind());
+    ops[i]->run(cur, shapes[i], dst);
+    cur = dst;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Compiled convolution: one op covers all three modes. Weights are stored
-// flattened to [rows, in_c*k*k]; `row_of[c]` maps output channel c to its
-// weight row (-1 = dead channel, output is the constant `fill[c]`).
+// Compiled convolution: one op and one loop cover all three modes.
+// Weights are stored flattened to [rows, in_c*k*k]; `row_of[c]` maps
+// output channel c to its weight row (-1 = dead channel, output is the
+// constant `fill[c]`).
 class ConvOp : public Op {
  public:
   ExecMode mode = ExecMode::Dense;
@@ -37,117 +111,101 @@ class ConvOp : public Op {
   std::vector<int32_t> row_of;    // out_c entries; -1 = dead
   std::vector<float> bias;        // out_c entries, empty = no bias add
   std::vector<float> fill;        // out_c entries: dead-channel constant
+  bool relu = false;              // folded ReLU: clamp in the write-back
 
-  Tensor run(const Tensor& x) const override {
-    if (x.dim() != 4 || x.size(1) != in_c) {
-      throw std::invalid_argument("serve::ConvOp: bad input " + shrinkbench::to_string(x.shape()));
-    }
-    const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-    const ConvGeometry g{in_c, h, w, kernel, kernel, stride, pad};
-    const int64_t oh = g.out_h(), ow = g.out_w();
-    const int64_t spatial = oh * ow;
-    const int64_t ld = n * g.col_cols();
-    const int64_t image_numel = in_c * h * w;
+  const char* kind() const override { return "serve.op.conv"; }
+
+  Shape out_shape(const Shape& in) const override {
+    if (in.size() != 4 || in[1] != in_c) bad_input("ConvOp", in);
+    const ConvGeometry g = geometry(in);
+    if (g.out_h() <= 0 || g.out_w() <= 0) bad_input("ConvOp", in);
+    return {in[0], out_c, g.out_h(), g.out_w()};
+  }
+
+  void run(const float* x, const Shape& in, float* y) const override {
+    const ConvGeometry g = geometry(in);
+    const int64_t n = in[0];
+    const int64_t spatial = g.out_h() * g.out_w();
     const int64_t col_rows = g.col_rows();
-    Tensor y({n, out_c, oh, ow});
-    const float* b = bias.empty() ? nullptr : bias.data();
-
-    if (mode == ExecMode::Csr) {
-      // CSR keeps the monolithic lowering: csr_matmul already
-      // parallelizes over its rows, so batch-1 saturates the pool
-      // without the fused grid.
-      Workspace::Scope scope;
-      Workspace& ws = Workspace::tls();
-      float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
-      parallel_for(0, n, grain_for(col_rows * spatial), [&](int64_t n0, int64_t n1) {
-        for (int64_t i = n0; i < n1; ++i) {
-          im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
-        }
-      });
-      float* out_cm = ws.floats(static_cast<size_t>(std::max<int64_t>(csr_w.rows, 1) * ld));
-      csr_matmul(csr_w, cols, ld, out_cm);
-      parallel_for(0, n, grain_for(out_c * spatial), [&](int64_t n0, int64_t n1) {
-        for (int64_t i = n0; i < n1; ++i) {
-          for (int64_t c = 0; c < out_c; ++c) {
-            float* dst = y.data() + (i * out_c + c) * spatial;
-            const int32_t r = row_of[static_cast<size_t>(c)];
-            if (r < 0) {
-              std::fill(dst, dst + spatial, fill[static_cast<size_t>(c)]);
-              continue;
-            }
-            const float* src = out_cm + static_cast<int64_t>(r) * ld + i * spatial;
-            if (b == nullptr) {
-              std::copy(src, src + spatial, dst);
-            } else {
-              const float bc = b[c];
-              for (int64_t s = 0; s < spatial; ++s) dst[s] = src[s] + bc;
-            }
-          }
-        }
-      });
-      return y;
-    }
-
-    // Dense/Shrunk: the same fused (sample × out-channel-tile) schedule
-    // and work floor as Conv2d::forward. row_of is monotone over live
-    // channels, so a channel tile's live rows form one contiguous span
-    // of the packed weight matrix and the tile GEMM runs over exactly
-    // that span; dead channels take the fill path. Cell work counts
-    // live rows only: a shrunk conv does no GEMM work for dead channels.
+    const int64_t image_numel = in_c * in[2] * in[3];
+    const int64_t block = std::max<int64_t>(1, kColBudget / (col_rows * spatial));
+    // Cell work counts live multiply-adds (a shrunk conv does none for
+    // dead channels, a CSR conv none for pruned weights) plus the im2col
+    // staging, one element per column row and output position, which
+    // costs the same at any sparsity. Without it a very sparse conv
+    // formed one tile and lowered its whole batch on one thread.
+    const int64_t row_madds =
+        mode == ExecMode::Csr ? csr_w.nnz() : dense_w.size(0) * col_rows;
     const Grid2d grid(n, out_c, 1, kMinOcPerTile,
-                      dense_w.size(0) * col_rows * spatial / std::max<int64_t>(out_c, 1),
+                      (row_madds + col_rows) * spatial / std::max<int64_t>(out_c, 1),
                       ThreadPool::instance().threads());
     parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
       Workspace& ws = Workspace::tls();
       int64_t t = t_lo;
       while (t < t_hi) {
+        // Tile ids are channel-fastest, so the tiles of one sample range
+        // arrive back to back: each staged block serves all of them.
         const int64_t i0 = grid.tile0(t);
         const Grid2d::Range s = grid.range0(i0);
         const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
-        const int64_t tile_ld = (s.hi - s.lo) * spatial;
-        Workspace::Scope stage;  // LIFO: reclaimed before the next sample range
-        float* cols = ws.floats(static_cast<size_t>(col_rows * tile_ld));
-        for (int64_t i = s.lo; i < s.hi; ++i) {
-          im2col_ld(g, x.data() + i * image_numel, cols + (i - s.lo) * spatial, tile_ld);
-        }
-        for (; t < row_end; ++t) {
-          const Grid2d::Range cr = grid.range1(grid.tile1(t));
-          int64_t r_lo = -1, r_hi = -1;
-          for (int64_t c = cr.lo; c < cr.hi; ++c) {
-            const int32_t r = row_of[static_cast<size_t>(c)];
-            if (r < 0) continue;
-            if (r_lo < 0) r_lo = r;
-            r_hi = r + 1;
+        for (int64_t b_lo = s.lo; b_lo < s.hi; b_lo += block) {
+          const Grid2d::Range b{b_lo, std::min(s.hi, b_lo + block)};
+          const int64_t ld = (b.hi - b.lo) * spatial;
+          Workspace::Scope stage;  // LIFO: reclaimed before the next block
+          float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
+          for (int64_t i = b.lo; i < b.hi; ++i) {
+            im2col_ld(g, x + i * image_numel, cols + (i - b.lo) * spatial, ld);
           }
-          Workspace::Scope out_scope;
-          float* out_cm = nullptr;
-          if (r_lo >= 0) {
-            out_cm = ws.floats(static_cast<size_t>((r_hi - r_lo) * tile_ld));
-            gemm(false, false, r_hi - r_lo, tile_ld, col_rows, 1.0f,
-                 dense_w.data() + r_lo * col_rows, col_rows, cols, tile_ld, 0.0f, out_cm,
-                 tile_ld);
-          }
-          for (int64_t c = cr.lo; c < cr.hi; ++c) {
-            const int32_t r = row_of[static_cast<size_t>(c)];
-            for (int64_t i = s.lo; i < s.hi; ++i) {
-              float* dst = y.data() + (i * out_c + c) * spatial;
-              if (r < 0) {
-                std::fill(dst, dst + spatial, fill[static_cast<size_t>(c)]);
-                continue;
-              }
-              const float* src = out_cm + (r - r_lo) * tile_ld + (i - s.lo) * spatial;
-              if (b == nullptr) {
-                std::copy(src, src + spatial, dst);
-              } else {
-                const float bc = b[c];
-                for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + bc;
-              }
-            }
+          for (int64_t tc = t; tc < row_end; ++tc) {
+            run_block(grid.range1(grid.tile1(tc)), b, cols, ld, col_rows, spatial, y, ws);
           }
         }
+        t = row_end;
       }
     });
-    return y;
+  }
+
+ private:
+  ConvGeometry geometry(const Shape& in) const {
+    return ConvGeometry{in_c, in[2], in[3], kernel, kernel, stride, pad};
+  }
+
+  // Channels `cr` of samples `b`, whose columns are staged in `cols`.
+  // row_of is monotone over live channels, so the live rows of a channel
+  // tile form one contiguous span of the weight matrix and the block
+  // multiply runs over exactly that span; dead channels take the fill.
+  void run_block(Grid2d::Range cr, Grid2d::Range b, const float* cols, int64_t ld,
+                 int64_t col_rows, int64_t spatial, float* y, Workspace& ws) const {
+    int64_t r_lo = -1, r_hi = -1;
+    for (int64_t c = cr.lo; c < cr.hi; ++c) {
+      const int32_t r = row_of[static_cast<size_t>(c)];
+      if (r < 0) continue;
+      if (r_lo < 0) r_lo = r;
+      r_hi = r + 1;
+    }
+    Workspace::Scope out_scope;
+    float* out_cm = nullptr;
+    if (r_lo >= 0) {
+      out_cm = ws.floats(static_cast<size_t>((r_hi - r_lo) * ld));
+      if (mode == ExecMode::Csr) {
+        csr_matmul_rows(csr_w, r_lo, r_hi, cols, ld, out_cm);
+      } else {
+        gemm(false, false, r_hi - r_lo, ld, col_rows, 1.0f, dense_w.data() + r_lo * col_rows,
+             col_rows, cols, ld, 0.0f, out_cm, ld);
+      }
+    }
+    for (int64_t c = cr.lo; c < cr.hi; ++c) {
+      const int32_t r = row_of[static_cast<size_t>(c)];
+      const float* bc = bias.empty() ? nullptr : bias.data() + c;
+      for (int64_t i = b.lo; i < b.hi; ++i) {
+        float* dst = y + (i * out_c + c) * spatial;
+        if (r < 0) {
+          std::fill(dst, dst + spatial, fill[static_cast<size_t>(c)]);
+        } else {
+          write_back(out_cm + (r - r_lo) * ld + (i - b.lo) * spatial, spatial, bc, relu, dst);
+        }
+      }
+    }
   }
 };
 
@@ -161,24 +219,29 @@ class LinearOp : public Op {
   std::vector<int32_t> row_of;    // out entries; -1 = dead
   std::vector<float> bias;        // out entries, empty = no bias
   std::vector<float> fill;        // out entries: dead-output constant
+  bool relu = false;              // folded ReLU: clamp in the write-back
 
-  Tensor run(const Tensor& x) const override {
-    if (x.dim() != 2 || x.size(1) != in) {
-      throw std::invalid_argument("serve::LinearOp: bad input " + shrinkbench::to_string(x.shape()));
-    }
-    const int64_t n = x.size(0);
-    Tensor y({n, out});
+  const char* kind() const override { return "serve.op.linear"; }
 
+  Shape out_shape(const Shape& s) const override {
+    if (s.size() != 2 || s[1] != in) bad_input("LinearOp", s);
+    return {s[0], out};
+  }
+
+  void run(const float* x, const Shape& s, float* y) const override {
+    const int64_t n = s[0];
     if (mode == ExecMode::Dense) {
       // Byte-for-byte the Linear::forward eval path (bias fused via the
-      // beta = 1 GEMM epilogue).
+      // beta = 1 GEMM epilogue), then the folded clamp.
       if (!bias.empty()) {
-        float* yp = y.data();
-        for (int64_t i = 0; i < n; ++i) std::copy(bias.begin(), bias.end(), yp + i * out);
+        for (int64_t i = 0; i < n; ++i) std::copy(bias.begin(), bias.end(), y + i * out);
       }
-      gemm(false, /*trans_b=*/true, n, out, in, 1.0f, x.data(), in, dense_w.data(), in,
-           bias.empty() ? 0.0f : 1.0f, y.data(), out);
-      return y;
+      gemm(false, /*trans_b=*/true, n, out, in, 1.0f, x, in, dense_w.data(), in,
+           bias.empty() ? 0.0f : 1.0f, y, out);
+      if (relu) {
+        for (int64_t k = 0; k < n * out; ++k) y[k] = clamp0(y[k]);
+      }
+      return;
     }
 
     Workspace::Scope scope;
@@ -187,37 +250,43 @@ class LinearOp : public Op {
       // Transpose so CSR rows stream over the batch (nn/sparse idiom).
       float* xt = ws.floats(static_cast<size_t>(in * n));
       for (int64_t i = 0; i < n; ++i) {
-        for (int64_t j = 0; j < in; ++j) xt[static_cast<size_t>(j * n + i)] = x(i, j);
+        for (int64_t j = 0; j < in; ++j) xt[j * n + i] = x[i * in + j];
       }
       float* yt = ws.floats(static_cast<size_t>(out * n));
       csr_matmul(csr_w, xt, n, yt);
       for (int64_t i = 0; i < n; ++i) {
-        for (int64_t j = 0; j < out; ++j) y(i, j) = yt[static_cast<size_t>(j * n + i)];
+        write_back_row([&](int64_t j) { return yt[j * n + i]; }, y + i * out);
       }
-      if (!bias.empty()) {
-        for (int64_t i = 0; i < n; ++i) {
-          for (int64_t j = 0; j < out; ++j) y(i, j) += bias[static_cast<size_t>(j)];
-        }
-      }
-      return y;
+      return;
     }
 
     // Shrunk: GEMM over live rows only, scatter into the full width.
     const int64_t rows = dense_w.size(0);
     float* y_live = ws.floats(static_cast<size_t>(n * std::max<int64_t>(rows, 1)));
     if (rows > 0) {
-      gemm(false, /*trans_b=*/true, n, rows, in, 1.0f, x.data(), in, dense_w.data(), in, 0.0f,
-           y_live, rows);
+      gemm(false, /*trans_b=*/true, n, rows, in, 1.0f, x, in, dense_w.data(), in, 0.0f, y_live,
+           rows);
     }
     for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < out; ++j) {
-        const int32_t r = row_of[static_cast<size_t>(j)];
-        float v = r < 0 ? fill[static_cast<size_t>(j)] : y_live[i * rows + r];
-        if (r >= 0 && !bias.empty()) v += bias[static_cast<size_t>(j)];
-        y(i, j) = v;
-      }
+      write_back_row([&](int64_t r) { return y_live[i * rows + r]; }, y + i * out);
     }
-    return y;
+  }
+
+ private:
+  // One sample's outputs: live entries read via `live(row)`, plus bias
+  // and clamp; dead entries take their (compile-time clamped) fill.
+  template <typename Live>
+  void write_back_row(Live live, float* dst) const {
+    for (int64_t j = 0; j < out; ++j) {
+      const int32_t r = row_of[static_cast<size_t>(j)];
+      if (r < 0) {
+        dst[j] = fill[static_cast<size_t>(j)];
+        continue;
+      }
+      float v = live(r);
+      if (!bias.empty()) v += bias[static_cast<size_t>(j)];
+      dst[j] = relu ? clamp0(v) : v;
+    }
   }
 };
 
@@ -228,142 +297,166 @@ class BnOp : public Op {
  public:
   int64_t channels = 0;
   std::vector<float> mean, inv_std, gamma, beta;
+  bool relu = false;  // folded ReLU: clamp in the write-back
 
-  Tensor run(const Tensor& x) const override {
-    if (x.dim() != 4 || x.size(1) != channels) {
-      throw std::invalid_argument("serve::BnOp: bad input " + shrinkbench::to_string(x.shape()));
-    }
-    const int64_t n = x.size(0), spatial = x.size(2) * x.size(3);
-    Tensor y(x.shape());
-    parallel_for(0, n * channels, grain_for(spatial), [&](int64_t p0, int64_t p1) {
+  const char* kind() const override { return "serve.op.bn"; }
+
+  Shape out_shape(const Shape& in) const override {
+    if (in.size() != 4 || in[1] != channels) bad_input("BnOp", in);
+    return in;
+  }
+
+  void run(const float* x, const Shape& in, float* y) const override {
+    const int64_t spatial = in[2] * in[3];
+    parallel_for(0, in[0] * channels, grain_for(spatial), [&](int64_t p0, int64_t p1) {
       for (int64_t p = p0; p < p1; ++p) {
         const size_t c = static_cast<size_t>(p % channels);
-        const float* src = x.data() + p * spatial;
-        float* dst = y.data() + p * spatial;
+        const float* src = x + p * spatial;
+        float* dst = y + p * spatial;
         const float m = mean[c], is = inv_std[c], g = gamma[c], b = beta[c];
-        for (int64_t k = 0; k < spatial; ++k) dst[k] = g * ((src[k] - m) * is) + b;
+        if (relu) {
+          for (int64_t k = 0; k < spatial; ++k) dst[k] = clamp0(g * ((src[k] - m) * is) + b);
+        } else {
+          for (int64_t k = 0; k < spatial; ++k) dst[k] = g * ((src[k] - m) * is) + b;
+        }
       }
     });
-    return y;
   }
 };
 
+// A ReLU with no conv, linear or BN op right before it to fold into.
 class ReluOp : public Op {
  public:
-  Tensor run(const Tensor& x) const override {
-    Tensor y = x;
-    for (float& v : y.flat()) {
-      if (v < 0.0f) v = 0.0f;
-    }
-    return y;
+  const char* kind() const override { return "serve.op.relu"; }
+  Shape out_shape(const Shape& in) const override { return in; }
+  void run(const float* x, const Shape& in, float* y) const override {
+    parallel_for(0, numel_of(in), kMinElemsPerChunk, [&](int64_t k0, int64_t k1) {
+      for (int64_t k = k0; k < k1; ++k) y[k] = clamp0(x[k]);
+    });
   }
 };
 
 class FlattenOp : public Op {
  public:
-  Tensor run(const Tensor& x) const override { return x.reshaped({x.size(0), -1}); }
-};
-
-class MaxPoolOp : public Op {
- public:
-  int64_t kernel = 1, stride = 1;
-
-  Tensor run(const Tensor& x) const override {
-    const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-    const int64_t oh = (h - kernel) / stride + 1, ow = (w - kernel) / stride + 1;
-    Tensor y({n, c, oh, ow});
-    int64_t out_idx = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* plane = x.data() + (i * c + ch) * h * w;
-        for (int64_t oy = 0; oy < oh; ++oy) {
-          for (int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-            float best = plane[(oy * stride) * w + ox * stride];
-            for (int64_t ky = 0; ky < kernel; ++ky) {
-              for (int64_t kx = 0; kx < kernel; ++kx) {
-                const float v = plane[(oy * stride + ky) * w + ox * stride + kx];
-                if (v > best) best = v;
-              }
-            }
-            y.at(out_idx) = best;
-          }
-        }
-      }
-    }
-    return y;
+  const char* kind() const override { return "serve.op.flatten"; }
+  Shape out_shape(const Shape& in) const override {
+    if (in[0] <= 0) bad_input("FlattenOp", in);
+    return {in[0], numel_of(in) / in[0]};
+  }
+  void run(const float* x, const Shape& in, float* y) const override {
+    std::copy(x, x + numel_of(in), y);
   }
 };
 
-class AvgPoolOp : public Op {
+// Max/average pooling; both run in parallel over (sample × channel)
+// planes, each plane's output written by exactly one chunk.
+class PoolOp : public Op {
  public:
+  bool max = true;
   int64_t kernel = 1, stride = 1;
 
-  Tensor run(const Tensor& x) const override {
-    const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
+  const char* kind() const override { return max ? "serve.op.maxpool" : "serve.op.avgpool"; }
+
+  Shape out_shape(const Shape& in) const override {
+    if (in.size() != 4 || in[2] < kernel || in[3] < kernel) bad_input("PoolOp", in);
+    return {in[0], in[1], (in[2] - kernel) / stride + 1, (in[3] - kernel) / stride + 1};
+  }
+
+  void run(const float* x, const Shape& in, float* y) const override {
+    if (max) {
+      pool<true>(x, in, y);
+    } else {
+      pool<false>(x, in, y);
+    }
+  }
+
+ private:
+  template <bool Max>
+  void pool(const float* x, const Shape& in, float* y) const {
+    const int64_t h = in[2], w = in[3];
     const int64_t oh = (h - kernel) / stride + 1, ow = (w - kernel) / stride + 1;
-    Tensor y({n, c, oh, ow});
     const float inv = 1.0f / static_cast<float>(kernel * kernel);
-    int64_t out_idx = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* plane = x.data() + (i * c + ch) * h * w;
+    parallel_for(0, in[0] * in[1], grain_for(oh * ow * kernel * kernel),
+                 [&](int64_t p0, int64_t p1) {
+      for (int64_t p = p0; p < p1; ++p) {
+        const float* plane = x + p * h * w;
+        float* dst = y + p * oh * ow;
         for (int64_t oy = 0; oy < oh; ++oy) {
-          for (int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-            float s = 0.0f;
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const float* win = plane + (oy * stride) * w + ox * stride;
+            float acc = Max ? win[0] : 0.0f;
             for (int64_t ky = 0; ky < kernel; ++ky) {
               for (int64_t kx = 0; kx < kernel; ++kx) {
-                s += plane[(oy * stride + ky) * w + ox * stride + kx];
+                const float v = win[ky * w + kx];
+                if constexpr (Max) {
+                  if (v > acc) acc = v;
+                } else {
+                  acc += v;
+                }
               }
             }
-            y.at(out_idx) = s * inv;
+            dst[oy * ow + ox] = Max ? acc : acc * inv;
           }
         }
       }
-    }
-    return y;
+    });
   }
 };
 
 class GlobalAvgPoolOp : public Op {
  public:
-  Tensor run(const Tensor& x) const override {
-    const int64_t n = x.size(0), c = x.size(1), spatial = x.size(2) * x.size(3);
-    Tensor y({n, c});
+  const char* kind() const override { return "serve.op.gap"; }
+
+  Shape out_shape(const Shape& in) const override {
+    if (in.size() != 4) bad_input("GlobalAvgPoolOp", in);
+    return {in[0], in[1]};
+  }
+
+  void run(const float* x, const Shape& in, float* y) const override {
+    const int64_t spatial = in[2] * in[3];
     const float inv = 1.0f / static_cast<float>(spatial);
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* src = x.data() + (i * c + ch) * spatial;
+    parallel_for(0, in[0] * in[1], grain_for(spatial), [&](int64_t p0, int64_t p1) {
+      for (int64_t p = p0; p < p1; ++p) {
+        const float* src = x + p * spatial;
         double s = 0.0;
         for (int64_t k = 0; k < spatial; ++k) s += src[k];
-        y(i, ch) = static_cast<float>(s) * inv;
+        y[p] = static_cast<float>(s) * inv;
       }
-    }
-    return y;
+    });
   }
 };
 
 class ResidualOp : public Op {
  public:
-  std::vector<std::unique_ptr<Op>> main_ops;
-  std::vector<std::unique_ptr<Op>> shortcut_ops;  // empty = identity
+  OpList main_ops;
+  OpList shortcut_ops;  // empty = identity
   bool final_relu = true;
 
-  Tensor run(const Tensor& x) const override {
-    Tensor m = x;
-    for (const auto& op : main_ops) m = op->run(m);
-    if (!shortcut_ops.empty()) {
-      Tensor s = x;
-      for (const auto& op : shortcut_ops) s = op->run(s);
-      ops::add_inplace(m, s);
-    } else {
-      ops::add_inplace(m, x);
-    }
-    if (final_relu) {
-      for (float& v : m.flat()) {
-        if (v < 0.0f) v = 0.0f;
-      }
-    }
+  const char* kind() const override { return "serve.op.residual"; }
+
+  Shape out_shape(const Shape& in) const override {
+    Shape m = shapes_of(main_ops, in).back();
+    if (m != shapes_of(shortcut_ops, in).back()) bad_input("ResidualOp", in);
     return m;
+  }
+
+  void run(const float* x, const Shape& in, float* y) const override {
+    const std::vector<Shape> main_shapes = shapes_of(main_ops, in);
+    run_ops(main_ops, main_shapes, x, y);
+    Workspace::Scope scope;
+    const float* sc = x;
+    if (!shortcut_ops.empty()) {
+      float* s = Workspace::tls().floats(static_cast<size_t>(numel_of(main_shapes.back())));
+      run_ops(shortcut_ops, shapes_of(shortcut_ops, in), x, s);
+      sc = s;
+    }
+    // main + shortcut, then the block's ReLU: ResidualBlock's arithmetic.
+    parallel_for(0, numel_of(main_shapes.back()), kMinElemsPerChunk, [&](int64_t k0, int64_t k1) {
+      for (int64_t k = k0; k < k1; ++k) {
+        const float v = y[k] + sc[k];
+        y[k] = final_relu ? clamp0(v) : v;
+      }
+    });
   }
 };
 
@@ -411,21 +504,15 @@ class Compiler {
       } else if (auto* bn = dynamic_cast<BatchNorm2d*>(layer)) {
         ops.push_back(make_bn(*bn));
       } else if (dynamic_cast<ReLU*>(layer) != nullptr) {
-        ops.push_back(std::make_unique<ReluOp>());
+        if (ops.empty() || !fold_relu(*ops.back())) ops.push_back(std::make_unique<ReluOp>());
       } else if (dynamic_cast<Flatten*>(layer) != nullptr) {
         ops.push_back(std::make_unique<FlattenOp>());
       } else if (dynamic_cast<Dropout*>(layer) != nullptr) {
         // Inverted dropout: eval forward is the identity.
       } else if (auto* mp = dynamic_cast<MaxPool2d*>(layer)) {
-        auto op = std::make_unique<MaxPoolOp>();
-        op->kernel = mp->kernel();
-        op->stride = mp->stride();
-        ops.push_back(std::move(op));
+        ops.push_back(make_pool(true, mp->kernel(), mp->stride()));
       } else if (auto* ap = dynamic_cast<AvgPool2d*>(layer)) {
-        auto op = std::make_unique<AvgPoolOp>();
-        op->kernel = ap->kernel();
-        op->stride = ap->stride();
-        ops.push_back(std::move(op));
+        ops.push_back(make_pool(false, ap->kernel(), ap->stride()));
       } else if (dynamic_cast<GlobalAvgPool*>(layer) != nullptr) {
         ops.push_back(std::make_unique<GlobalAvgPoolOp>());
       } else if (auto* res = dynamic_cast<ResidualBlock*>(layer)) {
@@ -443,6 +530,32 @@ class Compiler {
   }
 
  private:
+  // Folds a ReLU into the op that produces its input, when that op has a
+  // write-back to clamp in: conv, linear, BN. A dead channel's output is
+  // its fill everywhere, so clamping the fill once here is exact.
+  static bool fold_relu(Op& op) {
+    auto fold = [](auto& o) {
+      o.relu = true;
+      for (float& f : o.fill) f = clamp0(f);
+      return true;
+    };
+    if (auto* c = dynamic_cast<ConvOp*>(&op)) return fold(*c);
+    if (auto* l = dynamic_cast<LinearOp*>(&op)) return fold(*l);
+    if (auto* b = dynamic_cast<BnOp*>(&op)) {
+      b->relu = true;
+      return true;
+    }
+    return false;
+  }
+
+  static std::unique_ptr<Op> make_pool(bool max, int64_t kernel, int64_t stride) {
+    auto op = std::make_unique<PoolOp>();
+    op->max = max;
+    op->kernel = kernel;
+    op->stride = stride;
+    return op;
+  }
+
   std::unique_ptr<Op> make_conv(Conv2d& conv, BatchNorm2d* bn) {
     const int64_t oc = conv.out_channels();
     const int64_t col_rows = conv.in_channels() * conv.kernel() * conv.kernel();
@@ -576,9 +689,10 @@ Tensor Executor::forward(const Tensor& x) const {
     throw std::invalid_argument("serve::Executor: input must be batched, got " +
                                 shrinkbench::to_string(x.shape()));
   }
-  Tensor h = x;
-  for (const auto& op : ops_) h = op->run(h);
-  return h;
+  const std::vector<Shape> shapes = shapes_of(ops_, x.shape());
+  Tensor y(shapes.back());
+  run_ops(ops_, shapes, x.data(), y.data());
+  return y;
 }
 
 Executor compile(Sequential& model, const Shape& sample_shape, ExecMode mode) {

@@ -8,9 +8,9 @@
 //           exact kernels the eval-mode Sequential runs (bit-identical
 //           output) — the denominator of measured speedup.
 //   Csr     unstructured sparsity: effective weights (data ⊙ mask)
-//           compiled to CSR, executed with the nn/sparse kernels; batch
-//           norm is folded into the preceding conv so the sparse matmul
-//           is the only per-layer matrix work.
+//           compiled to CSR and multiplied with the nn/sparse row
+//           kernel; batch norm is folded into the preceding conv so the
+//           sparse matmul is the only per-layer matrix work.
 //   Shrunk  channel sparsity: BN folded, then all-zero output-channel
 //           rows are physically dropped from the GEMM. Dead channels
 //           still appear in the output, filled with their folded bias
@@ -20,10 +20,33 @@
 //           graph keeps residual shapes and downstream layers intact
 //           while the GEMM cost tracks effective FLOPs.
 //
+// One conv loop serves all three modes: a fused (sample × out-channel-
+// tile) grid whose tiles stage im2col for blocks of samples sized to a
+// fixed column budget and multiply each block with the tile's weight rows
+// (gemm for Dense/Shrunk, the serial CSR row kernel for Csr) while it is
+// cache-hot. Tiling never splits a per-element reduction, so Dense stays
+// bit-identical to the eval forward and every mode is bit-identical
+// across SB_THREADS.
+//
+// Fused epilogue. Each conv, linear and BN op finishes in one write-back
+// pass: bias, dead-channel fill and — when compile() folded the ReLU that
+// follows it into the op — the clamp. Such a ReLU never runs as an op of
+// its own. A dead channel's folded fill becomes max(fill, 0), which is
+// exact: its pre-activation is that constant everywhere.
+//
+// Activation storage. Ops write into caller-provided buffers (Op::run)
+// and never into their input. forward() draws every intermediate from the
+// calling thread's grow-only workspace arena: two ping-pong buffers per op
+// sequence, plus a residual block's own branch buffers while its input
+// stays live in the caller's. A warm forward therefore allocates only the
+// returned output tensor, and no buffer an op fully overwrites is
+// zero-filled first.
+//
 // Executors hold copies of all weights: the source model can keep
 // training or be destroyed. forward() is eval-only, write-free and
-// thread-safe (scratch lives in the thread-local workspace arena), so
-// one executor is shared by all server workers.
+// thread-safe (all storage is per thread), so one executor is shared by
+// all server workers. With SB_PROF on, each op runs under a
+// "serve.op.<kind>" span nested in "serve.exec".
 #pragma once
 
 #include <cstdint>
@@ -45,19 +68,28 @@ ExecMode exec_mode_from_name(const std::string& name);
 class Op {
  public:
   virtual ~Op() = default;
-  /// x: [N, ...]; must not mutate any state (thread-safety contract).
-  virtual Tensor run(const Tensor& x) const = 0;
+  /// Static kind name, also the op's profiler span ("serve.op.conv").
+  virtual const char* kind() const = 0;
+  /// Output shape for an input of shape `in`; throws
+  /// std::invalid_argument when the op cannot take that input.
+  virtual Shape out_shape(const Shape& in) const = 0;
+  /// Writes the output for `x` (shape `in`) into `y`, which holds
+  /// numel(out_shape(in)) floats of any content and never aliases `x`.
+  /// Must not mutate any state (thread-safety contract).
+  virtual void run(const float* x, const Shape& in, float* y) const = 0;
 };
 
 class Executor {
  public:
-  /// x: [N, ...sample_shape]. Thread-safe; scratch comes from the
-  /// calling thread's workspace arena.
+  /// x: [N, ...sample_shape]. Thread-safe; intermediates and scratch
+  /// come from the calling thread's workspace arena.
   Tensor forward(const Tensor& x) const;
 
   ExecMode mode() const { return mode_; }
   const Shape& sample_shape() const { return sample_shape_; }
   size_t op_count() const { return ops_.size(); }
+  /// Top-level op i in execution order (residual blocks are one op).
+  const Op& op(size_t i) const { return *ops_[i]; }
 
   /// Per-sample multiply-adds of the dense / pruned model, captured at
   /// compile time — the paper's theoretical-speedup inputs.
@@ -79,8 +111,10 @@ class Executor {
 
 /// Compiles the model for the given per-sample input shape. Csr/Shrunk
 /// use effective weights (data ⊙ mask) and fold eval-mode batch norm
-/// into the preceding conv/linear; Dense replays the model verbatim.
-/// Throws std::invalid_argument on layer types the compiler doesn't know.
+/// into the preceding conv/linear; every mode folds a ReLU into the
+/// conv, linear or BN op it follows; Dense otherwise replays the model
+/// verbatim. Throws std::invalid_argument on layer types the compiler
+/// doesn't know.
 Executor compile(Sequential& model, const Shape& sample_shape, ExecMode mode);
 
 }  // namespace shrinkbench::serve

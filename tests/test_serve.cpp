@@ -1,7 +1,10 @@
 // Serving engine tests: compiler parity against the eval-mode model,
-// dynamic-batcher semantics (work-conserving flush, backlog coalescing,
-// max-wait flush, lossless drain), parallel CSR matmul determinism, and
-// steady-state zero-growth of the sparse inference scratch paths.
+// ReLU folding (no standalone ReLU after a conv, BN or linear op; exact
+// clamp of a dead channel's negative fill), dynamic-batcher semantics
+// (work-conserving flush, backlog coalescing, max-wait flush, lossless
+// drain), parallel CSR matmul determinism, and the executor's activation
+// storage: steady-state zero arena growth and a bounded high-water mark
+// at the benchmark batch of 64.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -21,6 +24,8 @@
 #include "core/pruner.hpp"
 #include "core/scoring.hpp"
 #include "models/zoo.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "nn/layer.hpp"
@@ -71,8 +76,8 @@ ModelPtr pruned_zoo_model(const std::string& arch, const Shape& sample, Structur
   return model;
 }
 
-// Compares the compiled executor against the eval-mode Sequential across
-// the issue's batch sizes. rtol/atol == 0 demands bit-identity (Dense
+// Compares the compiled executor against the eval-mode Sequential at
+// batches 1, 7, 32 and the benchmark's 64. rtol/atol == 0 demands bit-identity (Dense
 // mode); Csr/Shrunk fold BN into the weights before the matmul, which
 // reorders the floating-point work per output element, so those modes get
 // a small documented tolerance instead.
@@ -80,7 +85,7 @@ void expect_parity(Sequential& model, const Shape& sample, ExecMode mode, float 
                    float atol) {
   const serve::Executor exec = serve::compile(model, sample, mode);
   Rng rng(91);
-  for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{32}}) {
+  for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{32}, int64_t{64}}) {
     Shape in{n};
     in.insert(in.end(), sample.begin(), sample.end());
     Tensor x(in);
@@ -203,51 +208,92 @@ TEST(ServeKernels, CsrMatmulParallelBitMatchesSerial) {
   EXPECT_TRUE(ops::allclose(serial, threaded, 0, 0));
 }
 
-// ---- sparse inference scratch: steady-state zero growth ----
+// ---- ReLU folding ----
 
-TEST(ServeWorkspace, SparseInferencePathsReachSteadyState) {
-  Rng rng(7);
-  Conv2d conv("c", 4, 8, 3, 1, 1, /*bias=*/true);
-  Linear lin("l", 48, 16);
-  init_model(conv, rng);
-  init_model(lin, rng);
-  for (float& v : conv.weight().data.flat()) {
-    if (rng.bernoulli(0.6)) v = 0.0f;
+TEST(ServeExecutor, NoStandaloneReluAfterConvBnOrLinear) {
+  ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, 0.5);
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    const serve::Executor exec = serve::compile(*m, kCifarSample, mode);
+    for (size_t i = 1; i < exec.op_count(); ++i) {
+      if (std::string(exec.op(i).kind()) != "serve.op.relu") continue;
+      const std::string prev = exec.op(i - 1).kind();
+      EXPECT_TRUE(prev != "serve.op.conv" && prev != "serve.op.bn" && prev != "serve.op.linear")
+          << serve::to_string(mode) << ": op " << i << " is a ReLU left after " << prev;
+    }
   }
-  for (float& v : lin.weight().data.flat()) {
-    if (rng.bernoulli(0.6)) v = 0.0f;
-  }
-  const SparseConv2dInference sconv(conv);
-  const SparseLinearInference slin(lin);
-  Tensor xc({2, 4, 10, 10}), xl({5, 48});
-  rng.fill_normal(xc, 0, 1);
-  rng.fill_normal(xl, 0, 1);
-  for (int i = 0; i < 3; ++i) {  // warm-up grows the arena once
-    sconv.forward(xc);
-    slin.forward(xl);
-  }
-  Workspace& ws = Workspace::tls();
-  const int64_t grows = ws.grow_count();
-  const size_t cap = ws.capacity();
-  for (int i = 0; i < 5; ++i) {
-    sconv.forward(xc);
-    slin.forward(xl);
-  }
-  EXPECT_EQ(ws.grow_count(), grows) << "sparse forward allocated scratch per call";
-  EXPECT_EQ(ws.capacity(), cap);
 }
 
-TEST(ServeWorkspace, ExecutorForwardReachesSteadyState) {
-  ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Unstructured, 0.25);
-  const serve::Executor exec = serve::compile(*m, kCifarSample, ExecMode::Csr);
-  Rng rng(9);
-  Tensor x({4, 3, 32, 32});
+TEST(ServeExecutor, ShrunkDeadChannelNegativeFillClampsToZero) {
+  // conv -> BN -> ReLU with output channel 1 pruned whole: its folded
+  // fill (0 - mean) * gamma / sqrt(var + eps) + beta is negative, so the
+  // folded ReLU must turn it into exact zeros, as the eval forward does.
+  Rng rng(13);
+  Sequential model("dead");
+  auto conv_owned = std::make_unique<Conv2d>("conv", 2, 3, 3, 1, 1, /*bias=*/false);
+  auto bn_owned = std::make_unique<BatchNorm2d>("bn", 3);
+  Conv2d& conv = *conv_owned;
+  BatchNorm2d& bn = *bn_owned;
+  model.add(std::move(conv_owned)).add(std::move(bn_owned));
+  model.emplace<ReLU>("relu");
+  init_model(model, rng);
+  for (int64_t j = 0; j < 2 * 3 * 3; ++j) conv.weight().mask.at(1 * 18 + j) = 0.0f;
+  conv.weight().apply_mask();
+  for (int64_t c = 0; c < 3; ++c) {
+    bn.running_mean().at(c) = 0.3f;
+    bn.running_var().at(c) = 1.5f;
+    bn.gamma().data.at(c) = 0.8f;
+    bn.beta().data.at(c) = c == 1 ? -0.5f : 0.1f;
+  }
+  const serve::Executor exec = serve::compile(model, {2, 5, 5}, ExecMode::Shrunk);
+  Tensor x({3, 2, 5, 5});
   rng.fill_normal(x, 0, 1);
-  for (int i = 0; i < 3; ++i) exec.forward(x);
-  Workspace& ws = Workspace::tls();
-  const int64_t grows = ws.grow_count();
-  for (int i = 0; i < 3; ++i) exec.forward(x);
-  EXPECT_EQ(ws.grow_count(), grows) << "executor grew the arena after warm-up";
+  const Tensor ref = model.forward(x, /*train=*/false);
+  const Tensor got = exec.forward(x);
+  ASSERT_EQ(got.shape(), ref.shape());
+  EXPECT_TRUE(ops::allclose(got, ref, 1e-5f, 1e-5f));
+  bool live_positive = false;
+  for (int64_t i = 0; i < 3; ++i) {
+    for (int64_t s = 0; s < 25; ++s) {
+      EXPECT_EQ(got.at((i * 3 + 1) * 25 + s), 0.0f) << "dead channel, sample " << i;
+      live_positive = live_positive || got.at((i * 3 + 0) * 25 + s) > 0.0f;
+    }
+  }
+  EXPECT_TRUE(live_positive) << "live channels should still pass positive activations";
+}
+
+// ---- executor activation storage: steady state and high-water mark ----
+
+TEST(ServeWorkspace, ExecutorForwardReachesSteadyState) {
+  // Batch 64 on one thread, so the calling thread's arena holds all of
+  // it: the ping-pong activations (the widest, cifar-vgg's first conv
+  // output, is 64 * 8 * 32 * 32 floats = 2 MiB), one staged column
+  // block (256 KiB, or one sample's columns when larger: 288 KiB for
+  // the 8 -> 8 conv), the output tile and GEMM packing. 8 MiB
+  // bounds that with headroom; lowering a whole batch-64 tile at once
+  // would need 18.9 MB of columns for the 8 -> 8 conv alone.
+  constexpr size_t kHighWaterBound = size_t{8} << 20;
+  ModelPtr unstructured =
+      pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Unstructured, 0.25);
+  ModelPtr channel = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, 0.5);
+  ThreadPool& pool = ThreadPool::instance();
+  const int original = pool.threads();
+  pool.set_threads(1);
+  Rng rng(9);
+  Tensor x({64, 3, 32, 32});
+  rng.fill_normal(x, 0, 1);
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    Sequential& model = mode == ExecMode::Shrunk ? *channel : *unstructured;
+    const serve::Executor exec = serve::compile(model, kCifarSample, mode);
+    Workspace& ws = Workspace::tls();
+    ws.release();
+    for (int i = 0; i < 2; ++i) exec.forward(x);
+    const int64_t grows = ws.grow_count();
+    for (int i = 0; i < 3; ++i) exec.forward(x);
+    EXPECT_EQ(ws.grow_count(), grows) << serve::to_string(mode) << " grew the arena after warm-up";
+    EXPECT_LT(ws.high_water(), kHighWaterBound)
+        << serve::to_string(mode) << " arena high-water " << ws.high_water() << " bytes";
+  }
+  pool.set_threads(original);
 }
 
 // ---- dynamic batcher ----
