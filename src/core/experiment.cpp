@@ -1,7 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -9,7 +8,6 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -383,36 +381,23 @@ void install_sigint_handler() {
 #endif
 }
 
+/// An SB_* integer knob: its value when set and >= min, else fallback.
+long env_long(const char* name, long min, long fallback) {
+  if (const char* env = std::getenv(name)) {
+    const long parsed = std::strtol(env, nullptr, 10);
+    if (parsed >= min) return parsed;
+  }
+  return fallback;
+}
+
 int sweep_retries(const SweepOptions& options) {
   if (options.retries >= 0) return options.retries;
-  if (const char* env = std::getenv("SB_RETRIES")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 0) return static_cast<int>(parsed);
-  }
-  return 1;
+  return static_cast<int>(env_long("SB_RETRIES", 0, 1));
 }
 
 int sweep_workers(const SweepOptions& options) {
-  long w = options.parallel;
-  if (w < 0) {
-    w = 1;
-    if (const char* env = std::getenv("SB_SWEEP_PARALLEL")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) w = parsed;
-    }
-  }
+  const long w = options.parallel >= 0 ? options.parallel : env_long("SB_SWEEP_PARALLEL", 1, 1);
   return static_cast<int>(std::clamp<long>(w, 1, 64));
-}
-
-/// ETA for the log line: sub-zero means "no cache-miss timing yet" —
-/// i.e. every row so far was served from the result cache — and must
-/// read as unknown, not as an absurd 0.0s prediction for the cold work
-/// that may remain.
-std::string format_sweep_eta(double eta_seconds) {
-  if (eta_seconds < 0.0) return "unknown";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fs", eta_seconds);
-  return buf;
 }
 
 /// Runs one grid point with retries; a permanent failure comes back as a
@@ -483,31 +468,17 @@ class IncrementalCsv {
   bool failed_ = false;
 };
 
-/// One fleet worker's place in the grid: indices with i % count == id
-/// are its own shard, everything else is steal-able surplus.
+/// One process's place in the grid: indices with i % count == id are
+/// its own shard, everything else is steal-able surplus.
 struct ShardSpec {
   int id = 0;
   int count = 1;
 };
 
 ShardSpec resolve_shard(const SweepOptions& options) {
-  long id = options.shard_id;
-  long count = options.shard_count;
-  if (count < 0) {
-    count = 1;
-    if (const char* env = std::getenv("SB_FLEET_SHARDS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) count = parsed;
-    }
-  }
-  if (id < 0) {
-    id = 0;
-    if (const char* env = std::getenv("SB_FLEET_SHARD")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 0) id = parsed;
-    }
-  }
-  if (count < 1) count = 1;
+  long id = options.shard_id >= 0 ? options.shard_id : env_long("SB_FLEET_SHARD", 0, 0);
+  const long count = std::max<long>(
+      1, options.shard_count >= 0 ? options.shard_count : env_long("SB_FLEET_SHARDS", 1, 1));
   if (id >= count) {
     SB_LOG_WARN("fleet", "shard id %ld out of range for %ld shards — clamping", id, count);
     id = count - 1;
@@ -515,27 +486,32 @@ ShardSpec resolve_shard(const SweepOptions& options) {
   return {static_cast<int>(id), static_cast<int>(count)};
 }
 
-/// One process of a multi-process fleet working a shared grid + result
-/// cache. Protocol per grid point: probe the cache; on a miss, claim
-/// <entry>.claim via a non-blocking flock; holders compute (the runner
-/// re-probes the cache after the claim, so a raced claim costs one
-/// probe, never a duplicate experiment); conflicts defer the index.
-/// After the first pass the worker converges: deferred rows either land
-/// in the cache (computed by a peer) or their claim frees (peer died —
-/// the kernel releases flocks of killed processes) and this worker
-/// steals the compute. On a clean convergence every worker holds the
-/// FULL grid in grid order, so any worker's final CSV is byte-identical
-/// to a sequential sweep over the same cache.
-void run_sweep_fleet(ExperimentRunner& runner, const std::vector<ExperimentConfig>& grid,
-                     const ShardSpec& shard, IncrementalCsv& csv, SweepSummary& sum, int retries,
-                     std::vector<ExperimentResult>& results) {
-  SB_LOG_INFO("fleet", "worker shard %d/%d over %zu grid points (cache %s)", shard.id,
-              shard.count, grid.size(), runner.cache_dir().c_str());
+/// The one sweep scheduler. Claimants are the threads of this process
+/// (SweepOptions::parallel) in each of shard.count processes sharing the
+/// result cache, and all of them run the same loop. Per grid point: probe
+/// the cache; on a miss, claim <entry>.claim via a non-blocking flock;
+/// holders compute (the runner re-probes the cache after the claim, so a
+/// raced claim costs one probe, never a duplicate experiment); a claim
+/// held elsewhere defers the point. One shared cursor hands each point to
+/// exactly one thread of this process, and a deferred point stays with
+/// the thread that deferred it, so no sibling re-claims, steals or
+/// recomputes (a failed row included) what another thread has finished.
+/// After the first pass each thread converges: its deferred points either
+/// land in the cache (computed by a peer process) or their claim frees
+/// (the peer died — the kernel releases flocks of killed processes) and
+/// the thread steals the compute. On a clean convergence every process
+/// holds the FULL grid in grid order, so any process's final CSV is
+/// byte-identical to a one-claimant sweep over the same cache.
+std::vector<ExperimentResult> run_claimants(ExperimentRunner& runner,
+                                            const std::vector<ExperimentConfig>& grid,
+                                            const ShardSpec& shard, int threads,
+                                            IncrementalCsv& csv, SweepSummary& sum,
+                                            int retries) {
+  if (shard.count > 1 || threads > 1) {
+    SB_LOG_INFO("sweep", "%d claimant thread(s), shard %d/%d, over %zu grid points (cache %s)",
+                threads, shard.id, shard.count, grid.size(), runner.cache_dir().c_str());
+  }
   const auto sweep_start = std::chrono::steady_clock::now();
-  std::vector<ExperimentResult> slots(grid.size());
-  std::vector<char> done(grid.size(), 0);
-  double miss_seconds = 0.0;
-  size_t misses = 0;
 
   // Own shard first, then everyone else's work (ascending in both
   // halves): the first half is work no live peer should be holding, the
@@ -548,120 +524,184 @@ void run_sweep_fleet(ExperimentRunner& runner, const std::vector<ExperimentConfi
     if (i % count != static_cast<size_t>(shard.id)) order.push_back(i);
   }
 
-  const auto entry_path = [&](size_t i) { return result_cache_path(runner.cache_dir(), grid[i]); };
+  // State shared by the claimant threads, all under mu; the experiments
+  // themselves run outside the lock.
+  std::mutex mu;
+  std::vector<ExperimentResult> slots(grid.size());
+  std::vector<char> done(grid.size(), 0);
+  size_t next = 0;  // cursor into order
+  bool stop = false;
+  std::exception_ptr first_error;
+  // ETA bookkeeping: only cache-miss (actually computed) experiments
+  // count, otherwise a mostly-cached sweep predicts an absurdly
+  // optimistic finish for the remaining cold runs.
+  double miss_seconds = 0.0;
+  size_t misses = 0;
 
-  const auto finish_row = [&](size_t i, ExperimentResult&& r) {
+  const auto finish_row = [&](size_t i, ExperimentResult&& r, double seconds, bool steal_pass) {
+    std::lock_guard<std::mutex> lock(mu);
     if (r.failed) {
       ++sum.failures;
     } else if (r.from_cache) {
       ++sum.cache_hits;
+    } else {
+      miss_seconds += seconds;
+      ++misses;
+    }
+    if (steal_pass && !r.from_cache) {
+      ++sum.stolen;
+      obs::count("fleet.steals");
     }
     slots[i] = std::move(r);
     done[i] = 1;
     ++sum.completed;
     const ExperimentResult& row = slots[i];
-    // Completion-ordered stream: this worker's crash-visible trail. The
-    // grid-ordered CSV comes from the results vector on return.
+    // Completion-ordered stream: the crash-visible trail (grid order with
+    // one claimant). The grid-ordered CSV comes from the returned vector.
     csv.write_line(experiment_csv_row(row));
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
     const double eta = misses > 0 ? miss_seconds / static_cast<double>(misses) *
                                         static_cast<double>(sum.total - sum.completed) /
-                                        static_cast<double>(shard.count)
+                                        static_cast<double>(shard.count * threads)
                                   : -1.0;
-    SB_LOG_INFO("fleet", "%zu/%zu %s x%.0f seed=%llu -> %s (%s) [elapsed %.1fs, eta %s]",
-                sum.completed, sum.total, row.config.strategy.c_str(),
+    // Sub-zero ETA means no cache-miss timing yet (every row so far came
+    // from the cache) and must read as unknown, not as a 0.0s prediction
+    // for the cold work that may remain.
+    char eta_text[32] = "unknown";
+    if (eta >= 0.0) std::snprintf(eta_text, sizeof(eta_text), "%.1fs", eta);
+    char outcome[32] = "FAILED";
+    if (!row.failed) std::snprintf(outcome, sizeof(outcome), "top1 %.4f", row.post_top1);
+    SB_LOG_INFO("sweep", "%zu/%zu %s %s x%.0f seed=%llu -> %s (c=%.2f, %s) "
+                "[elapsed %.1fs, eta %s]",
+                sum.completed, sum.total, row.config.arch.c_str(), row.config.strategy.c_str(),
                 row.config.target_compression,
-                static_cast<unsigned long long>(row.config.run_seed),
-                row.failed ? "FAILED" : "ok", row.from_cache ? "cache" : "computed", elapsed,
-                format_sweep_eta(eta).c_str());
+                static_cast<unsigned long long>(row.config.run_seed), outcome, row.compression,
+                row.from_cache ? "cache" : "computed", elapsed, eta_text);
     obs::status_set_progress(sum.completed, sum.total, eta);
     obs::status_set_failures(static_cast<int64_t>(sum.failures),
                              static_cast<int64_t>(sum.cache_hits));
   };
 
   // Attempts one grid point; true when its row is now done (loaded from
-  // the shared cache or computed under our claim), false when a live
-  // peer holds the claim.
+  // the shared cache or computed), false when a live peer holds the claim.
   const auto attempt = [&](size_t i, bool steal_pass) -> bool {
-    if (ExperimentResult cached; read_cached_result(entry_path(i), grid[i], cached)) {
+    const std::filesystem::path entry = result_cache_path(runner.cache_dir(), grid[i]);
+    if (ExperimentResult cached; read_cached_result(entry, grid[i], cached)) {
       obs::count("cache.result.hit");
       cached.from_cache = true;
-      finish_row(i, std::move(cached));
+      finish_row(i, std::move(cached), 0.0, steal_pass);
       return true;
     }
-    std::filesystem::path claim_path = entry_path(i);
+    std::filesystem::path claim_path = entry;
     claim_path += ".claim";
     obs::FileLock claim;
-    if (!claim.try_acquire(claim_path)) {
-      obs::count("fleet.claim_conflicts");
-      return false;
+    switch (claim.try_acquire(claim_path)) {
+      case obs::LockResult::held:
+        obs::count("fleet.claim_conflicts");
+        return false;
+      case obs::LockResult::open_failed:
+        // No claim file means no claim to wait for: deferring would spin
+        // forever, so compute the row unclaimed.
+        obs::count("fleet.claim_open_failed");
+        SB_LOG_WARN("sweep", "cannot create claim %s — computing the row unclaimed",
+                    claim_path.string().c_str());
+        break;
+      case obs::LockResult::acquired:
+        obs::count("fleet.claims");
+        break;
     }
-    obs::count("fleet.claims");
     const auto exp_start = std::chrono::steady_clock::now();
     ExperimentResult r = run_one_config(runner, grid[i], retries);
-    if (!r.from_cache) {
-      if (!r.failed) {
-        miss_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - exp_start).count();
-        ++misses;
-      }
-      if (steal_pass) {
-        ++sum.stolen;
-        obs::count("fleet.steals");
-      }
-    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - exp_start).count();
     claim.release(/*unlink_file=*/true);
-    finish_row(i, std::move(r));
+    finish_row(i, std::move(r), seconds, steal_pass);
     return true;
   };
 
-  const auto interrupted = [&]() -> bool {
-    if (sum.interrupted) return true;
+  // Checked (under mu) before each attempt: SIGINT drains the sweep, an
+  // injected abort throws out of it.
+  const auto should_stop = [&]() -> bool {
+    if (stop) return true;
     if (obs::fault_point("sweep.interrupt")) request_sweep_interrupt();
     if (sweep_interrupt_requested()) {
       sum.interrupted = true;
-      return true;
-    }
-    if (obs::fault_point("sweep.abort")) {
+      stop = true;
+    } else if (obs::fault_point("sweep.abort")) {
       throw std::runtime_error("injected sweep abort (SB_FAULT=sweep.abort)");
     }
-    return false;
+    return stop;
   };
 
-  std::vector<size_t> deferred;
-  for (const size_t i : order) {
-    if (interrupted()) break;
-    if (!attempt(i, /*steal_pass=*/false)) deferred.push_back(i);
-  }
+  const auto claimant = [&] {
+    try {
+      std::vector<size_t> deferred;
+      for (;;) {
+        size_t i;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (next == order.size() || should_stop()) break;
+          i = order[next++];
+        }
+        if (!attempt(i, /*steal_pass=*/false)) deferred.push_back(i);
+      }
+      // Convergence: wait for deferred rows to land in the shared cache,
+      // re-attempting each round with backoff. A claim whose holder was
+      // killed is immediately claimable again, so any one surviving
+      // process eventually finishes the whole grid.
+      int backoff_ms = 50;
+      while (!deferred.empty()) {
+        std::vector<size_t> still;
+        still.reserve(deferred.size());
+        for (const size_t i : deferred) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            if (should_stop()) return;
+          }
+          if (!attempt(i, /*steal_pass=*/true)) still.push_back(i);
+        }
+        if (still.size() == deferred.size()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+          backoff_ms = std::min(backoff_ms * 2, 1000);
+        } else {
+          backoff_ms = 50;
+        }
+        deferred.swap(still);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!first_error) first_error = std::current_exception();
+      stop = true;
+    }
+  };
 
-  // Convergence: wait for deferred rows to land in the shared cache,
-  // re-attempting each round with backoff. A claim whose holder was
-  // killed is immediately claimable again, so any one surviving worker
-  // eventually finishes the whole grid.
-  int backoff_ms = 50;
-  while (!deferred.empty() && !interrupted()) {
-    std::vector<size_t> still;
-    still.reserve(deferred.size());
-    for (const size_t i : deferred) {
-      if (interrupted()) break;
-      if (!attempt(i, /*steal_pass=*/true)) still.push_back(i);
+  if (threads == 1) {
+    claimant();  // inline: experiments keep op-level parallelism
+  } else {
+    // Claimant threads own experiment-level parallelism: inner
+    // parallel_for calls run serially so N threads do not oversubscribe
+    // N*pool threads, and each experiment's arithmetic stays
+    // bit-identical to a one-claimant run.
+    std::vector<std::thread> crew;
+    crew.reserve(static_cast<size_t>(threads));
+    for (int t = 0; t < threads; ++t) {
+      crew.emplace_back([&claimant] {
+        ThreadPool::SerialGuard guard;
+        claimant();
+      });
     }
-    if (sum.interrupted) break;
-    if (still.size() == deferred.size()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 1000);
-    } else {
-      backoff_ms = 50;
-    }
-    deferred.swap(still);
+    for (std::thread& th : crew) th.join();
   }
+  if (first_error) std::rethrow_exception(first_error);
 
   // Grid order; gaps (interrupt before convergence) are simply absent.
+  std::vector<ExperimentResult> results;
   results.reserve(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
     if (done[i]) results.push_back(std::move(slots[i]));
   }
+  return results;
 }
 
 /// Shared sweep epilogue: interrupt-path artifact flushing (Chrome trace
@@ -714,14 +754,13 @@ std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const Experime
                                         const std::vector<uint64_t>& run_seeds,
                                         const SweepOptions& options, SweepSummary* summary) {
   install_sigint_handler();
-  std::vector<ExperimentResult> results;
   SweepSummary local;
   SweepSummary& sum = summary ? *summary : local;
   sum = SweepSummary{};
   sum.total = strategies.size() * compressions.size() * run_seeds.size();
   const int retries = sweep_retries(options);
   const ShardSpec shard = resolve_shard(options);
-  // Fleet workers stream completion-ordered rows to a per-shard file so
+  // Fleet processes stream completion-ordered rows to a per-shard file so
   // two processes never interleave writes in one stream; the canonical
   // grid-ordered CSV is whatever the caller writes from the returned
   // (full-grid) results.
@@ -740,8 +779,7 @@ std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const Experime
   if (obs::telemetry_enabled()) obs::Telemetry::instance().start_sampler();
 
   // Flatten the grid in (strategy, compression, seed) order — the row
-  // order of the sequential sweep, which the parallel path preserves by
-  // flushing completed slots as a contiguous prefix.
+  // order of the returned results, whatever order claimants finish in.
   std::vector<ExperimentConfig> grid;
   grid.reserve(sum.total);
   for (const std::string& strategy : strategies) {
@@ -755,136 +793,12 @@ std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const Experime
       }
     }
   }
-
-  const int workers =
+  const int threads =
       std::min<int>(sweep_workers(options), std::max<int>(1, static_cast<int>(grid.size())));
 
-  if (shard.count > 1) {
-    // Multi-process fleet: this process is one of shard.count workers
-    // coordinating through the shared result cache. In-process sweep
-    // workers are not layered on top — processes are the workers, each
-    // keeping op-level parallelism for its own experiments.
-    SB_PROFILE_SCOPE("sweep");
-    run_sweep_fleet(runner, grid, shard, csv, sum, retries, results);
-    finish_sweep_artifacts(options, sum, results);
-    return results;
-  }
-
-  const auto sweep_start = std::chrono::steady_clock::now();
-  // ETA bookkeeping: only cache-miss (actually computed) experiments
-  // count, otherwise a mostly-cached sweep predicts an absurdly
-  // optimistic finish for the remaining cold runs.
-  double miss_seconds = 0.0;
-  size_t misses = 0;
   SB_PROFILE_SCOPE("sweep");
-
-  // Shared sweep state. Everything below mu is claim/flush bookkeeping;
-  // the experiments themselves run outside the lock.
-  std::vector<ExperimentResult> slots(grid.size());
-  std::vector<char> done(grid.size(), 0);
-  size_t flushed = 0;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> stop{false};
-  std::exception_ptr first_error;
-  std::mutex mu;
-
-  auto worker = [&](bool serialize_inner) {
-    // Sweep workers own experiment-level parallelism: inner parallel_for
-    // calls run serially so N workers do not oversubscribe N*pool
-    // threads, and each experiment's arithmetic stays bit-identical to a
-    // sequential run. The workers==1 inline path skips the guard and
-    // keeps op-level parallelism instead.
-    std::optional<ThreadPool::SerialGuard> guard;
-    if (serialize_inner) guard.emplace();
-    for (;;) {
-      size_t i;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (obs::fault_point("sweep.interrupt")) request_sweep_interrupt();
-        if (sweep_interrupt_requested()) {
-          sum.interrupted = true;
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (obs::fault_point("sweep.abort")) {
-          if (!first_error) {
-            first_error = std::make_exception_ptr(
-                std::runtime_error("injected sweep abort (SB_FAULT=sweep.abort)"));
-          }
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= grid.size()) return;
-      }
-
-      const auto exp_start = std::chrono::steady_clock::now();
-      ExperimentResult result = run_one_config(runner, grid[i], retries);
-
-      std::lock_guard<std::mutex> lock(mu);
-      if (result.failed) {
-        ++sum.failures;
-      } else if (result.from_cache) {
-        ++sum.cache_hits;
-      } else {
-        miss_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - exp_start).count();
-        ++misses;
-      }
-      slots[i] = std::move(result);
-      done[i] = 1;
-      // Emit every newly contiguous row: grid order in the CSV and the
-      // returned vector, whatever order workers finish in.
-      while (flushed < grid.size() && done[flushed]) {
-        results.push_back(std::move(slots[flushed]));
-        ++flushed;
-        ++sum.completed;
-        const ExperimentResult& r = results.back();
-        csv.write_line(experiment_csv_row(r));
-
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-                .count();
-        // ETA only exists once a cache-miss timing does; -1 = unknown
-        // (formatted as "unknown", published as unknown to the heartbeat)
-        // instead of the old misleading 0.0 on an all-cache-hit prefix.
-        const double eta = misses > 0 ? miss_seconds / static_cast<double>(misses) *
-                                            static_cast<double>(sum.total - sum.completed) /
-                                            static_cast<double>(workers)
-                                      : -1.0;
-        char outcome[48];
-        if (r.failed) {
-          std::snprintf(outcome, sizeof(outcome), "FAILED");
-        } else {
-          std::snprintf(outcome, sizeof(outcome), "top1 %.4f", r.post_top1);
-        }
-        SB_LOG_INFO("sweep", "%zu/%zu %s %s x%.0f seed=%llu -> %s (c=%.2f) "
-                    "[elapsed %.1fs, eta %s]",
-                    sum.completed, sum.total, r.config.arch.c_str(), r.config.strategy.c_str(),
-                    r.config.target_compression,
-                    static_cast<unsigned long long>(r.config.run_seed), outcome, r.compression,
-                    elapsed, format_sweep_eta(eta).c_str());
-        obs::status_set_progress(sum.completed, sum.total, eta);
-        obs::status_set_failures(static_cast<int64_t>(sum.failures),
-                                 static_cast<int64_t>(sum.cache_hits));
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker(/*serialize_inner=*/false);
-  } else {
-    SB_LOG_INFO("sweep", "sharding %zu experiments across %d workers (SB_SWEEP_PARALLEL)",
-                sum.total, workers);
-    std::vector<std::thread> crew;
-    crew.reserve(static_cast<size_t>(workers));
-    for (int t = 0; t < workers; ++t) {
-      crew.emplace_back([&worker] { worker(/*serialize_inner=*/true); });
-    }
-    for (std::thread& th : crew) th.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  const std::vector<ExperimentResult> results =
+      run_claimants(runner, grid, shard, threads, csv, sum, retries);
   finish_sweep_artifacts(options, sum, results);
   return results;
 }

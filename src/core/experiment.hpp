@@ -133,8 +133,10 @@ class ExperimentRunner {
 struct SweepOptions {
   /// Non-empty: every finished result row is appended (and flushed) to
   /// this CSV as it completes, header first, so an interrupted bench
-  /// loses nothing already computed. Benches rewrite the same path
-  /// atomically at the end, making the final file canonical.
+  /// loses nothing already computed. Rows stream in completion order,
+  /// which is grid order with one claimant. Benches rewrite the same
+  /// path atomically at the end from the grid-ordered results, making
+  /// the final file canonical.
   std::string csv_path;
   /// Append to an existing csv_path instead of truncating it — for
   /// benches that pour several sweeps into one CSV.
@@ -142,24 +144,23 @@ struct SweepOptions {
   /// Extra attempts for an experiment that throws; -1 reads SB_RETRIES
   /// from the environment (default 1).
   int retries = -1;
-  /// Worker threads sharding the sweep's independent grid points; -1
-  /// reads SB_SWEEP_PARALLEL from the environment (default 1 =
-  /// sequential). Workers run with the tensor thread pool disabled for
-  /// their experiments (experiment-level parallelism replaces op-level),
-  /// so each experiment still computes bit-identical results; rows are
-  /// emitted in grid order regardless of completion order.
+  /// Claimant threads in this process; -1 reads SB_SWEEP_PARALLEL from
+  /// the environment (default 1). Every sweep runs one claim loop
+  /// (see run_sweep); with more than one thread, each runs its
+  /// experiments with the tensor thread pool disabled (experiment-level
+  /// parallelism replaces op-level), so every experiment still computes
+  /// bit-identical results. Composes with shard_count: each process of
+  /// a fleet runs this many claimant threads.
   int parallel = -1;
-  /// Multi-process fleet sharding: this process owns grid indices with
-  /// i % shard_count == shard_id, claims them through flock'd claim
-  /// files in the shared result cache, then steals whatever unclaimed
-  /// work remains and waits for peers' rows to land in the cache — on
-  /// return the results vector covers the FULL grid in grid order, so
-  /// any worker's final CSV is byte-identical to a sequential sweep's.
-  /// -1 reads SB_FLEET_SHARD / SB_FLEET_SHARDS from the environment
-  /// (default: no sharding). With shard_count > 1 the incremental CSV
-  /// streams completion-ordered rows to csv_path + ".shard<id>" and
-  /// in-process sweep workers (`parallel`) are ignored: processes are
-  /// the workers, each keeping its own op-level thread pool.
+  /// Multi-process fleet sharding: this process claims grid indices with
+  /// i % shard_count == shard_id first, then steals whatever unclaimed
+  /// work remains and waits for peers' rows to land in the shared result
+  /// cache — on return the results vector covers the FULL grid in grid
+  /// order, so any process's final CSV is byte-identical to a
+  /// one-claimant sweep's. -1 reads SB_FLEET_SHARD / SB_FLEET_SHARDS
+  /// from the environment (default: no sharding). With shard_count > 1
+  /// the incremental CSV streams to csv_path + ".shard<id>", so two
+  /// processes never interleave writes in one stream.
   int shard_id = -1;
   int shard_count = -1;
 };
@@ -171,9 +172,10 @@ struct SweepSummary {
   size_t completed = 0;   // rows produced (including failed rows)
   size_t failures = 0;    // rows that failed after all retries
   size_t cache_hits = 0;  // rows served from the on-disk result cache
-  /// Fleet mode only: grid points this worker computed after first
-  /// deferring them to a peer — the peer released the claim without
-  /// producing a cache entry (it was preempted, or the row failed).
+  /// Grid points this process computed after first deferring them to a
+  /// peer process — the peer released the claim without producing a
+  /// cache entry (it was preempted, or the row failed). Always 0 without
+  /// peers: threads of one process never defer to each other.
   size_t stolen = 0;
   bool interrupted = false;  // SIGINT (or injected interrupt) stopped the sweep
   int exit_code() const { return interrupted ? 130 : failures > 0 ? 1 : 0; }
@@ -188,6 +190,12 @@ struct SweepSummary {
 /// after the in-flight experiment; completed configs short-circuit
 /// through the result cache on the next run, so a killed sweep resumes
 /// with zero recomputation.
+///
+/// Scheduling: one claim loop for every configuration. Each grid point
+/// is probed in the result cache and, on a miss, computed under a
+/// flock'd <entry>.claim file; claimants are the `parallel` threads of
+/// each of `shard_count` processes. The returned rows are in grid order
+/// (strategy, compression, seed) whatever order they finished in.
 std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const ExperimentConfig& base,
                                         const std::vector<std::string>& strategies,
                                         const std::vector<double>& compressions,

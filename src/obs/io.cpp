@@ -172,14 +172,14 @@ FileLock& FileLock::operator=(FileLock&& other) noexcept {
   return *this;
 }
 
-bool FileLock::try_acquire(const std::filesystem::path& path) {
+LockResult FileLock::try_acquire(const std::filesystem::path& path) {
   if (held()) release();
 #if defined(_WIN32)
   // No flock on Windows; degrade to always-succeeds (single-process
   // semantics — the fleet is a POSIX feature).
   path_ = path;
   fd_ = 0;
-  return true;
+  return LockResult::acquired;
 #else
   std::error_code ec;
   if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path(), ec);
@@ -187,11 +187,11 @@ bool FileLock::try_acquire(const std::filesystem::path& path) {
   if (fd < 0) {
     count("io.lock_open_failed");
     SB_LOG_WARN("io", "cannot open lock file %s", path.string().c_str());
-    return false;
+    return LockResult::open_failed;
   }
   if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
     ::close(fd);
-    return false;
+    return LockResult::held;
   }
   // Record the owner for post-mortem debugging; the lock itself lives in
   // the kernel, so a torn or stale pid line is never load-bearing.
@@ -205,14 +205,14 @@ bool FileLock::try_acquire(const std::filesystem::path& path) {
   }
   fd_ = fd;
   path_ = path;
-  return true;
+  return LockResult::acquired;
 #endif
 }
 
 bool FileLock::acquire(const std::filesystem::path& path, int poll_ms,
                        const std::function<bool()>& cancelled) {
   if (poll_ms < 1) poll_ms = 1;
-  while (!try_acquire(path)) {
+  while (try_acquire(path) != LockResult::acquired) {
     if (cancelled && cancelled()) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
   }

@@ -56,6 +56,11 @@ std::string checksum_hex(std::string_view data);
 
 // ---- cross-process locking ----
 
+/// Outcome of one non-blocking lock attempt. `held`: another holder
+/// (process or fd) has the lock. `open_failed`: the lock file cannot be
+/// created (unwritable or non-directory parent), so no holder exists.
+enum class LockResult { acquired, held, open_failed };
+
 /// Advisory cross-process lock built on flock(2). Acquiring creates the
 /// lock file if needed and takes LOCK_EX on it; the fd (and therefore
 /// the lock) follows the process, so a kill -9 releases it
@@ -80,8 +85,8 @@ class FileLock {
 
   /// Non-blocking acquire: creates `path` (and parents) if needed and
   /// tries LOCK_EX | LOCK_NB. On success the file records "<pid>" for
-  /// debugging. False when another holder (process or fd) has it.
-  bool try_acquire(const std::filesystem::path& path);
+  /// debugging.
+  LockResult try_acquire(const std::filesystem::path& path);
 
   /// Polling acquire: retries try_acquire every `poll_ms` until it
   /// succeeds or `cancelled` (optional) returns true. Returns held().

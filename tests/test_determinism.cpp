@@ -4,6 +4,7 @@
 // many — the reproducibility contract the paper's comparisons rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -313,6 +314,10 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
+// One claim loop serves every worker count: 3 claimant threads compute
+// each grid point exactly once, the grid-ordered CSV matches the
+// one-claimant sweep, and the completion-ordered stream carries the same
+// rows in whatever order the threads finished them.
 TEST_F(PoolFixture, SweepCsvBitIdenticalAcrossWorkerCounts) {
   const std::vector<std::string> strategies = {"global-weight", "random"};
   const std::vector<double> compressions = {2.0, 4.0};
@@ -322,9 +327,10 @@ TEST_F(PoolFixture, SweepCsvBitIdenticalAcrossWorkerCounts) {
 
   const auto run = [&](int workers, const std::string& tag) {
     // Separate cache dirs so neither run serves the other's results.
-    ExperimentRunner runner(dir + "/cache_" + tag);
+    const std::string cache = dir + "/cache_" + tag;
+    ExperimentRunner runner(cache);
     SweepOptions options;
-    options.csv_path = dir + "/sweep_" + tag + ".csv";
+    options.csv_path = dir + "/stream_" + tag + ".csv";
     options.parallel = workers;
     SweepSummary summary;
     const auto results =
@@ -332,6 +338,16 @@ TEST_F(PoolFixture, SweepCsvBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(summary.completed, strategies.size() * compressions.size());
     EXPECT_EQ(summary.failures, 0u);
     EXPECT_FALSE(summary.interrupted);
+    // Exactly-once in-process work: nothing replayed, nothing stolen
+    // from a sibling, no claim left behind.
+    EXPECT_EQ(summary.cache_hits, 0u);
+    EXPECT_EQ(summary.stolen, 0u);
+    size_t claims = 0;
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(cache)) {
+      claims += entry.path().extension() == ".claim";
+    }
+    EXPECT_EQ(claims, 0u);
+    write_experiment_csv(dir + "/sweep_" + tag + ".csv", results);
     return results;
   };
 
@@ -350,14 +366,25 @@ TEST_F(PoolFixture, SweepCsvBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(sequential[i].compression, parallel[i].compression) << "row " << i;
   }
 
-  const auto lines_seq = read_lines(dir + "/sweep_seq.csv");
-  const auto lines_par = read_lines(dir + "/sweep_par.csv");
-  ASSERT_EQ(lines_seq.size(), lines_par.size());
-  ASSERT_EQ(lines_seq.size(), sequential.size() + 1);  // header + rows
-  for (size_t i = 0; i < lines_seq.size(); ++i) {
-    EXPECT_EQ(strip_timing_columns(lines_seq[i]), strip_timing_columns(lines_par[i]))
-        << "line " << i;
-  }
+  const auto stripped = [](const std::vector<std::string>& lines) {
+    std::vector<std::string> out;
+    for (const std::string& line : lines) out.push_back(strip_timing_columns(line));
+    return out;
+  };
+  // The grid-ordered CSV a bench writes: identical line for line.
+  const auto csv_seq = stripped(read_lines(dir + "/sweep_seq.csv"));
+  const auto csv_par = stripped(read_lines(dir + "/sweep_par.csv"));
+  ASSERT_EQ(csv_seq.size(), sequential.size() + 1);  // header + rows
+  EXPECT_EQ(csv_seq, csv_par);
+
+  // The completion-ordered stream: byte-identical to the grid-ordered
+  // CSV with one claimant, the same set of lines with three.
+  EXPECT_EQ(read_lines(dir + "/stream_seq.csv"), read_lines(dir + "/sweep_seq.csv"));
+  auto stream_seq = stripped(read_lines(dir + "/stream_seq.csv"));
+  auto stream_par = stripped(read_lines(dir + "/stream_par.csv"));
+  std::sort(stream_seq.begin(), stream_seq.end());
+  std::sort(stream_par.begin(), stream_par.end());
+  EXPECT_EQ(stream_seq, stream_par);
   std::filesystem::remove_all(dir);
 }
 

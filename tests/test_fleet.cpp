@@ -2,8 +2,9 @@
 // result cache. Covers the FileLock claim primitive (exclusion + free on
 // death), exactly-once pretraining and experiment compute across
 // processes (asserted through train.epochs counters, not log scraping),
-// byte-identical full-grid CSVs from every worker, and convergence after
-// a worker is kill -9'ed mid-sweep.
+// byte-identical full-grid CSVs from every worker, convergence after a
+// worker is kill -9'ed mid-sweep, and a sweep over an unwritable result
+// cache finishing instead of waiting on claims that can never exist.
 //
 // Fork safety: this binary pins SB_THREADS=1 before anything can build
 // the tensor pool, so forked children never inherit dead pool threads.
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -121,6 +123,38 @@ int64_t summary_value(const fs::path& file, const std::string& key) {
   return -1;
 }
 
+/// Runs `body` in a forked child and waits for it at most `deadline`. A
+/// child still running then is killed and reported as -1, so a hung
+/// sweep fails its test instead of hanging the suite; otherwise returns
+/// the child's exit code (99 when `body` threw, 128+signal if killed,
+/// -2 when fork or waitpid failed).
+int run_with_deadline(const std::function<int()>& body, std::chrono::seconds deadline) {
+  const pid_t pid = fork();
+  if (pid < 0) return -2;
+  if (pid == 0) {
+    int code = 99;
+    try {
+      code = body();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "child: %s\n", e.what());
+    }
+    ::_exit(code);
+  }
+  const auto give_up = std::chrono::steady_clock::now() + deadline;
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  if (reaped != pid) return -2;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
 struct FleetFixture : ::testing::Test {
   std::string cache_dir;
   fs::path out_dir;
@@ -153,7 +187,7 @@ TEST(FileLock, ExcludesAcrossProcessesAndFreesOnKill) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     obs::FileLock child_lock;
-    if (!child_lock.try_acquire(lock_path)) ::_exit(1);
+    if (child_lock.try_acquire(lock_path) != obs::LockResult::acquired) ::_exit(1);
     char byte = 'r';
     (void)!::write(ready[1], &byte, 1);
     // Hold the lock until killed — never released in userspace.
@@ -165,7 +199,7 @@ TEST(FileLock, ExcludesAcrossProcessesAndFreesOnKill) {
   ::close(ready[1]);
 
   obs::FileLock lock;
-  EXPECT_FALSE(lock.try_acquire(lock_path));  // exclusion across processes
+  EXPECT_EQ(lock.try_acquire(lock_path), obs::LockResult::held);  // exclusion across processes
 
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
   int status = 0;
@@ -173,7 +207,7 @@ TEST(FileLock, ExcludesAcrossProcessesAndFreesOnKill) {
   ASSERT_TRUE(WIFSIGNALED(status));
 
   // The kernel released the dead child's flock: claimable immediately.
-  EXPECT_TRUE(lock.try_acquire(lock_path));
+  EXPECT_EQ(lock.try_acquire(lock_path), obs::LockResult::acquired);
   lock.release(/*unlink_file=*/true);
   EXPECT_FALSE(fs::exists(lock_path));
   fs::remove_all(dir);
@@ -287,6 +321,39 @@ TEST_F(FleetFixture, TwoWorkersComputeExactlyOnceAndAgreeByteForByte) {
   EXPECT_EQ(count_files_with(cache_dir, ".claim"), 0u);
   EXPECT_EQ(count_files_with(cache_dir, ".corrupt"), 0u);
   EXPECT_EQ(count_files_with(cache_dir, ".lock"), 0u);
+}
+
+// A claim file that cannot be created is not a live peer's claim. Here
+// <cache>/results is a regular file (root ignores chmod, so no
+// permission trick), so neither cache entries nor claims can exist under
+// it: every row is computed unclaimed, with a warning and a
+// fleet.claim_open_failed count, instead of being deferred forever.
+TEST_F(FleetFixture, UnopenableClaimFileDoesNotHangTheSweep) {
+  fs::create_directories(cache_dir);
+  std::ofstream(fs::path(cache_dir) / "results") << "not a directory\n";
+  for (const int shards : {2, -1}) {
+    SCOPED_TRACE("shard_count=" + std::to_string(shards));
+    const int code = run_with_deadline(
+        [&] {
+          obs::set_profiling_enabled(true);  // child-local; parent stays clean
+          ExperimentRunner runner(cache_dir);
+          SweepOptions opts;  // shards == -1: default options
+          if (shards > 1) {
+            opts.shard_id = 0;
+            opts.shard_count = shards;
+          }
+          SweepSummary sum;
+          const auto rows =
+              run_sweep(runner, fleet_config(), {"global-weight"}, {2.0, 4.0}, {1}, opts, &sum);
+          const auto counters = obs::snapshot_if_enabled().counters;
+          const auto it = counters.find("fleet.claim_open_failed");
+          const bool counted = it != counters.end() && it->second == 2;
+          return rows.size() == 2 && sum.exit_code() == 0 && counted ? 0 : 1;
+        },
+        std::chrono::seconds(30));
+    EXPECT_NE(code, -1) << "sweep still running after 30 s: killed";
+    EXPECT_EQ(code, 0);
+  }
 }
 
 TEST_F(FleetFixture, FleetConvergesAfterWorkerIsKilled) {

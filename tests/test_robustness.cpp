@@ -381,38 +381,67 @@ TEST_F(RobustnessFixture, FailedRowRoundTripsThroughCsv) {
 
 // ---- crash / interrupt / resume ----
 
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream ss(text);
+  for (std::string line; std::getline(ss, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
 TEST_F(RobustnessFixture, AbortedSweepResumesWithZeroRecomputation) {
   ExperimentConfig base = tiny_config();
   const std::vector<std::string> strategies = {"global-weight", "random"};
   const std::vector<double> ratios = {2.0, 4.0};
-  SweepOptions options;
-  options.csv_path = out_dir + "/resume.csv";
+  // Two claimant threads: the abort fires on a worker thread and must
+  // still surface from run_sweep, and the stream is completion-ordered,
+  // so it is compared as a set of lines.
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("parallel=" + std::to_string(workers));
+    const std::string cache = cache_dir + "/p" + std::to_string(workers);
+    SweepOptions options;
+    options.csv_path = out_dir + "/resume" + std::to_string(workers) + ".csv";
+    options.parallel = workers;
 
-  // "Crash" after two experiments: the abort throws out of run_sweep,
-  // leaving the incremental CSV and the result cache as a kill -9 would.
-  obs::set_fault_spec("sweep.abort:3");
-  EXPECT_THROW(run_sweep(*runner, base, strategies, ratios, {1}, options), std::runtime_error);
-  obs::set_fault_spec("");
-  const std::string partial = slurp(options.csv_path);
-  EXPECT_EQ(std::count(partial.begin(), partial.end(), '\n'), 3);  // header + 2 rows
+    // "Crash" after two experiments: the abort throws out of run_sweep,
+    // leaving the incremental CSV and the result cache as a kill -9 would.
+    ExperimentRunner crashed(cache);
+    obs::set_fault_spec("sweep.abort:3");
+    EXPECT_THROW(run_sweep(crashed, base, strategies, ratios, {1}, options), std::runtime_error);
+    obs::set_fault_spec("");
+    EXPECT_EQ(count_files_with(cache, ".claim"), 0u);
+    const std::string partial = slurp(options.csv_path);
+    EXPECT_EQ(std::count(partial.begin(), partial.end(), '\n'), 3);  // header + 2 rows
 
-  // Restart: the two pre-crash configs come from the cache, only the
-  // remaining two are computed.
-  ExperimentRunner restarted(cache_dir);
-  SweepSummary resume;
-  const auto results = run_sweep(restarted, base, strategies, ratios, {1}, options, &resume);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(resume.cache_hits, 2u);
-  EXPECT_EQ(resume.failures, 0u);
-  const std::string full = slurp(options.csv_path);
-  EXPECT_EQ(partial, full.substr(0, partial.size()));  // prefix preserved verbatim
+    // Restart: the two pre-crash configs come from the cache, only the
+    // remaining two are computed.
+    ExperimentRunner restarted(cache);
+    SweepSummary resume;
+    const auto results = run_sweep(restarted, base, strategies, ratios, {1}, options, &resume);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(resume.cache_hits, 2u);
+    EXPECT_EQ(resume.failures, 0u);
+    EXPECT_EQ(count_files_with(cache, ".claim"), 0u);
+    const std::string full = slurp(options.csv_path);
+    if (workers == 1) {
+      EXPECT_EQ(partial, full.substr(0, partial.size()));  // prefix preserved verbatim
+    } else {
+      const auto before = sorted_lines(partial);
+      const auto after = sorted_lines(full);
+      EXPECT_TRUE(std::includes(after.begin(), after.end(), before.begin(), before.end()));
+    }
 
-  // A fully-cached rerun reproduces the final CSV byte for byte.
-  ExperimentRunner rerun(cache_dir);
-  SweepSummary cached;
-  run_sweep(rerun, base, strategies, ratios, {1}, options, &cached);
-  EXPECT_EQ(cached.cache_hits, 4u);
-  EXPECT_EQ(slurp(options.csv_path), full);
+    // A fully-cached rerun reproduces the final CSV.
+    ExperimentRunner rerun(cache);
+    SweepSummary cached;
+    run_sweep(rerun, base, strategies, ratios, {1}, options, &cached);
+    EXPECT_EQ(cached.cache_hits, 4u);
+    if (workers == 1) {
+      EXPECT_EQ(slurp(options.csv_path), full);
+    } else {
+      EXPECT_EQ(sorted_lines(slurp(options.csv_path)), sorted_lines(full));
+    }
+  }
 }
 
 TEST_F(RobustnessFixture, InterruptFlushesAndStopsCleanly) {
