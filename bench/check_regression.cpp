@@ -22,7 +22,10 @@
 //       than at threads-1 beyond the default 35% band. Both are skipped
 //       with a logged reason on hosts with fewer than 4 cores (the
 //       ratio is noise there).
-//       Exit code 0 = within band, 1 = regression.
+//       Both files must carry the compact schema; a file that does not,
+//       or an entry neither skipped nor timed with a finite ns > 0, is
+//       rejected with its name.
+//       Exit code 0 = within band, 1 = regression, 2 = bad input.
 //
 // Typical flow (also run by CI in quick mode):
 //   ./micro_primitives --benchmark_format=json > /tmp/raw.json
@@ -231,6 +234,9 @@ JsonValue parse_file(const std::string& path) {
 
 // ---------------------------------------------------------------------
 
+// The compact schema `emit` writes and `check` reads.
+constexpr const char* kPerfSchema = "shrinkbench.bench_perf/v1";
+
 struct Entry {
   std::string name;
   double ns = 0.0;
@@ -275,7 +281,7 @@ int emit(const std::string& in_path, const std::string& out_path) {
   }
   std::ofstream os(out_path);
   if (!os) throw std::runtime_error("cannot write " + out_path);
-  os << "{\n  \"schema\": \"shrinkbench.bench_perf/v1\",\n";
+  os << "{\n  \"schema\": \"" << kPerfSchema << "\",\n";
   os << "  \"simd\": \"" << simd << "\",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
@@ -293,15 +299,36 @@ int emit(const std::string& in_path, const std::string& out_path) {
   return 0;
 }
 
+// Reads a file `emit` wrote. Anything else is rejected (exit 2), never
+// compared: raw google-benchmark JSON or an entry without a finite
+// positive `ns` would otherwise read as 0 ns and pass every band.
 std::map<std::string, Entry> load_perf(const std::string& path) {
   const JsonValue root = parse_file(path);
-  if (!root.has("benchmarks")) throw std::runtime_error(path + ": no 'benchmarks' array");
+  if (!root.has("schema") || root.at("schema").string != kPerfSchema) {
+    throw std::runtime_error(path + ": schema is not \"" + kPerfSchema +
+                             "\" (raw google-benchmark output must go through `emit` first)");
+  }
+  if (!root.has("benchmarks") || root.at("benchmarks").kind != JsonValue::Kind::Array) {
+    throw std::runtime_error(path + ": no 'benchmarks' array");
+  }
   std::map<std::string, Entry> out;
   for (const JsonValue& b : root.at("benchmarks").array) {
     Entry e;
+    if (!b.has("name") || b.at("name").kind != JsonValue::Kind::String) {
+      throw std::runtime_error(path + ": benchmark entry without a name");
+    }
     e.name = b.at("name").string;
-    if (b.has("skipped") && b.at("skipped").boolean) e.skipped = true;
-    if (b.has("ns")) e.ns = b.at("ns").number;
+    if (b.has("skipped") && b.at("skipped").boolean) {
+      e.skipped = true;
+    } else {
+      const bool timed = b.has("ns") && b.at("ns").kind == JsonValue::Kind::Number &&
+                         std::isfinite(b.at("ns").number) && b.at("ns").number > 0.0;
+      if (!timed) {
+        throw std::runtime_error(path + ": " + e.name +
+                                 " has no finite positive 'ns' and is not marked skipped");
+      }
+      e.ns = b.at("ns").number;
+    }
     if (b.has("items_per_sec")) e.items_per_sec = b.at("items_per_sec").number;
     out[e.name] = std::move(e);
   }

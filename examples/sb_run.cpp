@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
   }
   if (cfg.dataset == "synth-imagenet") cfg.finetune = imagenet_finetune_options();
 
-  ExperimentRunner runner(cache);
+  // Both modes build the runner inside their try: a bad --cache (say, a
+  // path under a regular file) is reported as an error, not a crash.
 
   // Mini-sweep mode: one strategy/ratio across several seeds through the
   // real run_sweep path (heartbeat, incremental CSV, manifest) — the
@@ -120,6 +121,7 @@ int main(int argc, char** argv) {
     SweepSummary sum;
     std::vector<ExperimentResult> results;
     try {
+      ExperimentRunner runner(cache);
       results = run_sweep(runner, cfg, {cfg.strategy}, {cfg.target_compression}, seeds, opts,
                           &sum);
     } catch (const std::exception& e) {
@@ -155,6 +157,7 @@ int main(int argc, char** argv) {
     obs::status_set_phase("run");
     obs::status_set_progress(0, 1, -1.0);
     obs::write_status_now();
+    ExperimentRunner runner(cache);
     ModelPtr model = runner.pretrained(cfg);
     const DatasetBundle& data = runner.dataset(cfg.dataset, cfg.data_seed);
     std::printf("%s\n", describe(*model, data.train.sample_shape()).c_str());

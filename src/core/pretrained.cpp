@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "nn/checkpoint.hpp"
 #include "nn/init.hpp"
@@ -22,7 +23,11 @@ std::string default_cache_dir() {
 }
 
 PretrainedStore::PretrainedStore(std::string cache_dir) : cache_dir_(std::move(cache_dir)) {
-  std::filesystem::create_directories(cache_dir_);
+  std::error_code ec;
+  std::filesystem::create_directories(cache_dir_, ec);
+  if (ec) {
+    throw std::runtime_error("cannot create cache directory " + cache_dir_ + ": " + ec.message());
+  }
 }
 
 TrainOptions default_pretrain_options() {
@@ -70,8 +75,18 @@ ModelPtr PretrainedStore::get(const DatasetBundle& bundle, const std::string& ar
   std::filesystem::path lock_path = path;
   lock_path += ".lock";
   obs::FileLock lock;
-  if (!lock.acquire(lock_path, /*poll_ms=*/200, [] { return sweep_interrupt_requested(); })) {
-    throw std::runtime_error("pretrain interrupted while waiting for " + lock_path.string());
+  switch (lock.acquire(lock_path, /*poll_ms=*/200, [] { return sweep_interrupt_requested(); })) {
+    case obs::LockResult::held:
+      throw std::runtime_error("pretrain interrupted while waiting for " + lock_path.string());
+    case obs::LockResult::open_failed:
+      // No lock file means no holder to wait for: waiting would spin
+      // forever, so pretrain unlocked (the sweep claim loop's rule).
+      obs::count("cache.pretrained.lock_open_failed");
+      SB_LOG_WARN("pretrain", "cannot create lock %s — pretraining unlocked",
+                  lock_path.string().c_str());
+      break;
+    case obs::LockResult::acquired:
+      break;
   }
   if (std::filesystem::exists(path)) {
     // A peer finished it while we waited for the lock. Unlink the lock

@@ -1,10 +1,9 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
+#include "nn/conv_grid.hpp"
 #include "obs/profile.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/threadpool.hpp"
@@ -14,45 +13,14 @@ namespace shrinkbench {
 
 namespace {
 
-// SB_CONV_CACHE_COLS=1 keeps the forward column matrix alive for the
-// backward pass instead of recomputing im2col — a speed-vs-memory toggle
-// (the cache costs col_rows * n * col_cols floats per conv layer).
-bool cache_cols_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("SB_CONV_CACHE_COLS");
-    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }();
-  return enabled;
-}
-
-// Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow]
-// (and scatters back), so a whole minibatch becomes one GEMM operand.
+// Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow],
+// so a whole minibatch becomes one GEMM operand.
 void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spatial, float* cm) {
   parallel_for(0, n, grain_for(c * spatial), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
       for (int64_t ch = 0; ch < c; ++ch) {
         const float* src = nchw + (i * c + ch) * spatial;
         std::copy(src, src + spatial, cm + ch * (n * spatial) + i * spatial);
-      }
-    }
-  });
-}
-
-// The scatter direction fuses the per-channel bias add (bias == nullptr
-// for bias-free layers), saving a second full pass over the output.
-void scatter_channel_major(const float* cm, int64_t n, int64_t c, int64_t spatial, float* nchw,
-                           const float* bias) {
-  parallel_for(0, n, grain_for(c * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* src = cm + ch * (n * spatial) + i * spatial;
-        float* dst = nchw + (i * c + ch) * spatial;
-        if (bias == nullptr) {
-          std::copy(src, src + spatial, dst);
-        } else {
-          const float b = bias[ch];
-          for (int64_t s = 0; s < spatial; ++s) dst[s] = src[s] + b;
-        }
       }
     }
   });
@@ -92,92 +60,30 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   }
   if (train) cached_input_ = x;
 
-  const int64_t ld = n * g.col_cols();
-  const int64_t image_numel = in_c_ * h * w;
+  // The shared fused grid (nn/conv_grid.hpp), the same loop a Dense
+  // serve::ConvOp runs: each channel tile multiplies its weight rows with
+  // the staged sample block and adds the bias on the way into NCHW.
   const int64_t spatial = oh * ow;
   const int64_t col_rows = g.col_rows();
+  const float* w_data = weight_.data.data();
   const float* bias = has_bias_ ? bias_.data.data() : nullptr;
   Tensor y({n, out_c_, oh, ow});
-
-  const bool keep_cols = train && cache_cols_enabled();
-  if (keep_cols) {
-    // SB_CONV_CACHE_COLS=1 training forward: backward reuses the full
-    // batched column matrix, so the lowering stays monolithic — a fused
-    // tile would stage its columns into the thread-local arena and
-    // discard them. Member storage (grow-only) survives until backward.
-    Workspace::Scope scope;
-    Workspace& ws = Workspace::tls();
-    cached_cols_.resize(static_cast<size_t>(col_rows * ld));
-    float* cols = cached_cols_.data();
-    cached_cols_valid_ = true;
-    parallel_for(0, n, grain_for(col_rows * spatial), [&](int64_t n0, int64_t n1) {
-      for (int64_t i = n0; i < n1; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
-      }
-    });
-    float* out_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
-    gemm(false, false, out_c_, ld, col_rows, 1.0f, weight_.data.data(), col_rows, cols, ld, 0.0f,
-         out_cm, ld);
-    scatter_channel_major(out_cm, n, out_c_, spatial, y.data(), bias);
-    return y;
-  }
-  // Only a training forward may touch the validity flag: eval-mode
-  // forward must stay write-free so concurrent evaluate() batches can
-  // share one model, and the (cached_input_, cached_cols_) pair from
-  // the last training forward stays mutually consistent for backward.
-  if (train) cached_cols_valid_ = false;
-
-  // Fused (sample × out-channel-tile) grid. Each tile stages im2col for
-  // its samples into the thread-local arena and immediately runs its
-  // weight rows' sub-GEMM plus the bias scatter while the columns are
-  // cache-hot. The channel axis splits only when samples alone cannot
-  // fill the pool (the batch-1 serving case the old per-sample split
-  // starved). Bit-identity: tile outputs are disjoint y regions, the k
-  // reduction stays whole inside every tile, and the block kernel
-  // accumulates k in the same ascending order for any (m, n) subrange —
-  // so y matches the monolithic GEMM bit for bit at every thread count.
-  // A conv too small to pay for a pool handoff is one tile, run inline.
-  const Grid2d grid(n, out_c_, 1, kMinOcPerTile, col_rows * spatial,
-                    ThreadPool::instance().threads());
-  parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
-    Workspace& ws = Workspace::tls();
-    int64_t t = t_lo;
-    while (t < t_hi) {
-      // Tile ids are channel-fastest, so consecutive tiles of one sample
-      // range arrive back to back: stage that range's columns once and
-      // reuse them for every channel tile this chunk owns in the row.
-      const int64_t i0 = grid.tile0(t);
-      const Grid2d::Range s = grid.range0(i0);
-      const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
-      const int64_t tile_ld = (s.hi - s.lo) * spatial;
-      Workspace::Scope stage;  // LIFO: reclaimed before the next sample range
-      float* cols = ws.floats(static_cast<size_t>(col_rows * tile_ld));
-      for (int64_t i = s.lo; i < s.hi; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, cols + (i - s.lo) * spatial, tile_ld);
-      }
-      for (; t < row_end; ++t) {
-        const Grid2d::Range cr = grid.range1(grid.tile1(t));
-        Workspace::Scope out_scope;
-        float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * tile_ld));
-        gemm(false, false, cr.hi - cr.lo, tile_ld, col_rows, 1.0f,
-             weight_.data.data() + cr.lo * col_rows, col_rows, cols, tile_ld, 0.0f, out_cm,
-             tile_ld);
-        for (int64_t c = cr.lo; c < cr.hi; ++c) {
-          const float* src_c = out_cm + (c - cr.lo) * tile_ld;
-          for (int64_t i = s.lo; i < s.hi; ++i) {
-            const float* src = src_c + (i - s.lo) * spatial;
-            float* dst = y.data() + (i * out_c_ + c) * spatial;
-            if (bias == nullptr) {
-              std::copy(src, src + spatial, dst);
-            } else {
-              const float b = bias[c];
-              for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
-            }
-          }
-        }
-      }
-    }
-  });
+  float* y_data = y.data();
+  conv_grid(g, n, out_c_, out_c_ * col_rows, x.data(),
+            [&](Grid2d::Range cr, Grid2d::Range b, const float* cols, int64_t ld,
+                Workspace& ws) {
+              Workspace::Scope out_scope;
+              float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * ld));
+              gemm(false, false, cr.hi - cr.lo, ld, col_rows, 1.0f, w_data + cr.lo * col_rows,
+                   col_rows, cols, ld, 0.0f, out_cm, ld);
+              for (int64_t c = cr.lo; c < cr.hi; ++c) {
+                for (int64_t i = b.lo; i < b.hi; ++i) {
+                  write_back(out_cm + (c - cr.lo) * ld + (i - b.lo) * spatial, spatial,
+                             bias == nullptr ? nullptr : bias + c, /*relu=*/false,
+                             y_data + (i * out_c_ + c) * spatial);
+                }
+              }
+            });
   return y;
 }
 
@@ -195,22 +101,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
-  const float* cols;
-  if (cached_cols_valid_) {
-    // SB_CONV_CACHE_COLS=1: reuse the forward column matrix.
-    if (obs::profiling_enabled()) obs::count("conv2d.cols_cache.hits");
-    cols = cached_cols_.data();
-  } else {
-    // Recompute the batched column matrix (cheaper than caching it in
-    // memory-constrained runs; see SB_CONV_CACHE_COLS).
-    float* scratch = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-    parallel_for(0, n, grain_for(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
-      for (int64_t i = n0; i < n1; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, scratch + i * g.col_cols(), ld);
-      }
-    });
-    cols = scratch;
-  }
+  // Recompute the batched column matrix rather than keep forward's: the
+  // forward stages only cache-sized sample blocks, never the whole batch.
+  float* cols = ws.floats(static_cast<size_t>(g.col_rows() * ld));
+  parallel_for(0, n, grain_for(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
+    for (int64_t i = n0; i < n1; ++i) {
+      im2col_ld(g, x.data() + i * image_numel, cols + i * g.col_cols(), ld);
+    }
+  });
   float* dy_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
   gather_channel_major(grad_out.data(), n, out_c_, spatial, dy_cm);
 

@@ -1,4 +1,9 @@
 // 2-D convolution (NCHW) via im2col + GEMM. Weight shape: [out_c, in_c, kh, kw].
+//
+// forward() runs the one fused conv kernel, conv_grid (nn/conv_grid.hpp),
+// in train and eval mode alike; serve::ConvOp runs the same kernel, so a
+// Dense executor matches the eval-mode forward bit for bit by
+// construction. backward() recomputes the batched im2col columns.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -34,10 +39,6 @@ class Conv2d : public Layer {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  // SB_CONV_CACHE_COLS=1: forward's column matrix, kept for backward
-  // instead of recomputing im2col (grow-only member storage).
-  std::vector<float> cached_cols_;
-  bool cached_cols_valid_ = false;
 };
 
 }  // namespace shrinkbench

@@ -18,6 +18,19 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features, bool
   if (has_bias_) bias_ = Parameter(this->name() + ".bias", {out_features}, /*prunable=*/false);
 }
 
+void linear_forward(const float* x, int64_t n, int64_t in, int64_t out, const float* w,
+                    const float* bias, float* y) {
+  if (bias != nullptr) {
+    // Fuse the bias add into the GEMM epilogue: pre-fill each output row
+    // with the bias and accumulate (beta = 1) instead of overwriting and
+    // making a second pass over y.
+    for (int64_t i = 0; i < n; ++i) std::copy(bias, bias + out, y + i * out);
+  }
+  // y = x [N, in] * W^T [in, out] (+ bias)
+  gemm(false, /*trans_b=*/true, n, out, in, 1.0f, x, in, w, in, bias != nullptr ? 1.0f : 0.0f, y,
+       out);
+}
+
 Tensor Linear::forward(const Tensor& x, bool train) {
   if (x.dim() != 2 || x.size(1) != in_) {
     throw std::invalid_argument(name() + ": expected input [N, " + std::to_string(in_) +
@@ -26,17 +39,8 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   if (train) cached_input_ = x;
   const int64_t n = x.size(0);
   Tensor y({n, out_});
-  if (has_bias_) {
-    // Fuse the bias add into the GEMM epilogue: pre-fill each output row
-    // with the bias and accumulate (beta = 1) instead of overwriting and
-    // making a second pass over y.
-    float* yp = y.data();
-    const float* bp = bias_.data.data();
-    for (int64_t i = 0; i < n; ++i) std::copy(bp, bp + out_, yp + i * out_);
-  }
-  // y = x [N, in] * W^T [in, out] (+ bias)
-  gemm(false, /*trans_b=*/true, n, out_, in_, 1.0f, x.data(), in_, weight_.data.data(), in_,
-       has_bias_ ? 1.0f : 0.0f, y.data(), out_);
+  linear_forward(x.data(), n, in_, out_, weight_.data.data(),
+                 has_bias_ ? bias_.data.data() : nullptr, y.data());
   return y;
 }
 

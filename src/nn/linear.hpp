@@ -5,6 +5,12 @@
 
 namespace shrinkbench {
 
+/// The fully-connected forward kernel shared by Linear::forward and the
+/// Dense serve::LinearOp: y [n, out] = x [n, in] · wᵀ (+ bias), with w
+/// [out, in] and bias nullptr or `out` floats. y need not be initialised.
+void linear_forward(const float* x, int64_t n, int64_t in, int64_t out, const float* w,
+                    const float* bias, float* y);
+
 class Linear : public Layer {
  public:
   /// If is_classifier, the weight is flagged so pruning strategies skip it

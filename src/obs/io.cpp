@@ -209,14 +209,15 @@ LockResult FileLock::try_acquire(const std::filesystem::path& path) {
 #endif
 }
 
-bool FileLock::acquire(const std::filesystem::path& path, int poll_ms,
-                       const std::function<bool()>& cancelled) {
+LockResult FileLock::acquire(const std::filesystem::path& path, int poll_ms,
+                             const std::function<bool()>& cancelled) {
   if (poll_ms < 1) poll_ms = 1;
-  while (try_acquire(path) != LockResult::acquired) {
-    if (cancelled && cancelled()) return false;
+  for (;;) {
+    const LockResult r = try_acquire(path);
+    if (r != LockResult::held) return r;
+    if (cancelled && cancelled()) return LockResult::held;
     std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
   }
-  return true;
 }
 
 void FileLock::release(bool unlink_file) {

@@ -88,10 +88,12 @@ class FileLock {
   /// debugging.
   LockResult try_acquire(const std::filesystem::path& path);
 
-  /// Polling acquire: retries try_acquire every `poll_ms` until it
-  /// succeeds or `cancelled` (optional) returns true. Returns held().
-  bool acquire(const std::filesystem::path& path, int poll_ms = 100,
-               const std::function<bool()>& cancelled = nullptr);
+  /// Polling acquire: retries try_acquire every `poll_ms` while another
+  /// holder has the lock. Returns `acquired`; `open_failed` at once when
+  /// the lock file cannot be created (there is no holder to wait for);
+  /// or `held` when `cancelled` (optional) returned true first.
+  LockResult acquire(const std::filesystem::path& path, int poll_ms = 100,
+                     const std::function<bool()>& cancelled = nullptr);
 
   /// Drops the lock. With `unlink_file` the lock file is removed first
   /// (while still held), so the common path leaves no litter behind.

@@ -7,6 +7,7 @@
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_grid.hpp"
 #include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
 #include "nn/linear.hpp"
@@ -15,7 +16,6 @@
 #include "nn/sparse.hpp"
 #include "obs/profile.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/threadpool.hpp"
 #include "tensor/workspace.hpp"
@@ -25,37 +25,6 @@ namespace shrinkbench::serve {
 namespace {
 
 using OpList = std::vector<std::unique_ptr<Op>>;
-
-// Floats of im2col columns one conv tile stages at a time (256 KiB): a
-// tile lowers as many whole samples as fit, at least one, multiplies
-// them, and moves on, so the staged block stays cache-resident for every
-// channel tile that reads it. Batch-64 cifar-vgg rounds on a 4-core
-// AVX-512 host: 2^15-2^17 within noise of each other, 2^18 about 5%
-// slower, 2^20 about 15% slower.
-constexpr int64_t kColBudget = int64_t{1} << 16;
-
-// nn::ReLU's exact rule: negatives become +0; -0.0f and NaN pass through.
-inline float clamp0(float v) { return v < 0.0f ? 0.0f : v; }
-
-// dst = src (+ bias) (clamped when relu). Separate loops keep the
-// no-bias path from adding 0.0f, which would turn -0.0f into +0.0f and
-// break Dense bit identity.
-void write_back(const float* src, int64_t len, const float* bias, bool relu, float* dst) {
-  if (bias == nullptr) {
-    if (!relu) {
-      std::copy(src, src + len, dst);
-    } else {
-      for (int64_t k = 0; k < len; ++k) dst[k] = clamp0(src[k]);
-    }
-    return;
-  }
-  const float b = *bias;
-  if (!relu) {
-    for (int64_t k = 0; k < len; ++k) dst[k] = src[k] + b;
-  } else {
-    for (int64_t k = 0; k < len; ++k) dst[k] = clamp0(src[k] + b);
-  }
-}
 
 [[noreturn]] void bad_input(const char* op, const Shape& in) {
   throw std::invalid_argument(std::string("serve::") + op + ": bad input " +
@@ -124,45 +93,11 @@ class ConvOp : public Op {
 
   void run(const float* x, const Shape& in, float* y) const override {
     const ConvGeometry g = geometry(in);
-    const int64_t n = in[0];
-    const int64_t spatial = g.out_h() * g.out_w();
-    const int64_t col_rows = g.col_rows();
-    const int64_t image_numel = in_c * in[2] * in[3];
-    const int64_t block = std::max<int64_t>(1, kColBudget / (col_rows * spatial));
-    // Cell work counts live multiply-adds (a shrunk conv does none for
-    // dead channels, a CSR conv none for pruned weights) plus the im2col
-    // staging, one element per column row and output position, which
-    // costs the same at any sparsity. Without it a very sparse conv
-    // formed one tile and lowered its whole batch on one thread.
     const int64_t row_madds =
-        mode == ExecMode::Csr ? csr_w.nnz() : dense_w.size(0) * col_rows;
-    const Grid2d grid(n, out_c, 1, kMinOcPerTile,
-                      (row_madds + col_rows) * spatial / std::max<int64_t>(out_c, 1),
-                      ThreadPool::instance().threads());
-    parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
-      Workspace& ws = Workspace::tls();
-      int64_t t = t_lo;
-      while (t < t_hi) {
-        // Tile ids are channel-fastest, so the tiles of one sample range
-        // arrive back to back: each staged block serves all of them.
-        const int64_t i0 = grid.tile0(t);
-        const Grid2d::Range s = grid.range0(i0);
-        const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
-        for (int64_t b_lo = s.lo; b_lo < s.hi; b_lo += block) {
-          const Grid2d::Range b{b_lo, std::min(s.hi, b_lo + block)};
-          const int64_t ld = (b.hi - b.lo) * spatial;
-          Workspace::Scope stage;  // LIFO: reclaimed before the next block
-          float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
-          for (int64_t i = b.lo; i < b.hi; ++i) {
-            im2col_ld(g, x + i * image_numel, cols + (i - b.lo) * spatial, ld);
-          }
-          for (int64_t tc = t; tc < row_end; ++tc) {
-            run_block(grid.range1(grid.tile1(tc)), b, cols, ld, col_rows, spatial, y, ws);
-          }
-        }
-        t = row_end;
-      }
-    });
+        mode == ExecMode::Csr ? csr_w.nnz() : dense_w.size(0) * g.col_rows();
+    conv_grid(g, in[0], out_c, row_madds, x,
+              [&](Grid2d::Range cr, Grid2d::Range b, const float* cols, int64_t ld,
+                  Workspace& ws) { run_block(cr, b, cols, ld, g, y, ws); });
   }
 
  private:
@@ -175,7 +110,9 @@ class ConvOp : public Op {
   // tile form one contiguous span of the weight matrix and the block
   // multiply runs over exactly that span; dead channels take the fill.
   void run_block(Grid2d::Range cr, Grid2d::Range b, const float* cols, int64_t ld,
-                 int64_t col_rows, int64_t spatial, float* y, Workspace& ws) const {
+                 const ConvGeometry& g, float* y, Workspace& ws) const {
+    const int64_t col_rows = g.col_rows();
+    const int64_t spatial = g.out_h() * g.out_w();
     int64_t r_lo = -1, r_hi = -1;
     for (int64_t c = cr.lo; c < cr.hi; ++c) {
       const int32_t r = row_of[static_cast<size_t>(c)];
@@ -231,13 +168,8 @@ class LinearOp : public Op {
   void run(const float* x, const Shape& s, float* y) const override {
     const int64_t n = s[0];
     if (mode == ExecMode::Dense) {
-      // Byte-for-byte the Linear::forward eval path (bias fused via the
-      // beta = 1 GEMM epilogue), then the folded clamp.
-      if (!bias.empty()) {
-        for (int64_t i = 0; i < n; ++i) std::copy(bias.begin(), bias.end(), y + i * out);
-      }
-      gemm(false, /*trans_b=*/true, n, out, in, 1.0f, x, in, dense_w.data(), in,
-           bias.empty() ? 0.0f : 1.0f, y, out);
+      // Linear::forward's own kernel, then the folded clamp.
+      linear_forward(x, n, in, out, dense_w.data(), bias.empty() ? nullptr : bias.data(), y);
       if (relu) {
         for (int64_t k = 0; k < n * out; ++k) y[k] = clamp0(y[k]);
       }

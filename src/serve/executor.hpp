@@ -20,13 +20,16 @@
 //           graph keeps residual shapes and downstream layers intact
 //           while the GEMM cost tracks effective FLOPs.
 //
-// One conv loop serves all three modes: a fused (sample × out-channel-
-// tile) grid whose tiles stage im2col for blocks of samples sized to a
-// fixed column budget and multiply each block with the tile's weight rows
-// (gemm for Dense/Shrunk, the serial CSR row kernel for Csr) while it is
-// cache-hot. Tiling never splits a per-element reduction, so Dense stays
-// bit-identical to the eval forward and every mode is bit-identical
-// across SB_THREADS.
+// One conv kernel serves all three modes and the training layer:
+// conv_grid (nn/conv_grid.hpp), the fused (sample × out-channel-tile)
+// grid Conv2d::forward also runs. Its tiles stage im2col for blocks of
+// samples sized to a fixed column budget, and ConvOp multiplies each block
+// with the tile's weight rows (gemm for Dense/Shrunk, the serial CSR row
+// kernel for Csr) while it is cache-hot. A Dense linear op likewise calls
+// Linear::forward's kernel, linear_forward. Dense is therefore
+// bit-identical to the eval forward by construction, and tiling never
+// splits a per-element reduction, so every mode is bit-identical across
+// SB_THREADS.
 //
 // Fused epilogue. Each conv, linear and BN op finishes in one write-back
 // pass: bias, dead-channel fill and — when compile() folded the ReLU that

@@ -4,7 +4,8 @@
 // processes (asserted through train.epochs counters, not log scraping),
 // byte-identical full-grid CSVs from every worker, convergence after a
 // worker is kill -9'ed mid-sweep, and a sweep over an unwritable result
-// cache finishing instead of waiting on claims that can never exist.
+// cache finishing instead of waiting on claims that can never exist (and
+// a cold pretrain whose lock file cannot be created likewise going ahead).
 //
 // Fork safety: this binary pins SB_THREADS=1 before anything can build
 // the tensor pool, so forked children never inherit dead pool threads.
@@ -354,6 +355,34 @@ TEST_F(FleetFixture, UnopenableClaimFileDoesNotHangTheSweep) {
     EXPECT_NE(code, -1) << "sweep still running after 30 s: killed";
     EXPECT_EQ(code, 0);
   }
+}
+
+// The same rule for the pretrain lock: a <ckpt>.lock that cannot be
+// created (here a directory) is not a peer's lock, so a cold checkpoint
+// is pretrained unlocked, with a warning and a count, instead of polling
+// for a lock that can never be taken.
+TEST_F(FleetFixture, UnopenablePretrainLockDoesNotHangPretraining) {
+  // One normal pretrain names the checkpoint; deleting it makes it cold.
+  ExperimentRunner(cache_dir).pretrained(fleet_config());
+  fs::path ckpt;
+  for (const auto& entry : fs::directory_iterator(cache_dir)) {
+    if (entry.path().extension() == ".ckpt") ckpt = entry.path();
+  }
+  ASSERT_FALSE(ckpt.empty());
+  fs::remove(ckpt);
+  fs::create_directories(ckpt.string() + ".lock");
+  const int code = run_with_deadline(
+      [&] {
+        obs::set_profiling_enabled(true);  // child-local; parent stays clean
+        ExperimentRunner(cache_dir).pretrained(fleet_config());
+        const auto counters = obs::snapshot_if_enabled().counters;
+        const auto it = counters.find("cache.pretrained.lock_open_failed");
+        const bool counted = it != counters.end() && it->second == 1;
+        return counted && fs::exists(ckpt) ? 0 : 1;
+      },
+      std::chrono::seconds(30));
+  EXPECT_NE(code, -1) << "pretrain still waiting on its lock after 30 s: killed";
+  EXPECT_EQ(code, 0);
 }
 
 TEST_F(FleetFixture, FleetConvergesAfterWorkerIsKilled) {

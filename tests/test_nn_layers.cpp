@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "nn/activations.hpp"
@@ -184,6 +186,107 @@ TEST(Conv2d, WorkFloorKeepsSmallConvsInline) {
     EXPECT_TRUE(ops::allclose(exec_y, exec_ref, 0, 0)) << "batch " << batch;
   }
   obs::set_profiling_enabled(false);
+  pool.set_threads(original);
+}
+
+// An independent reference for the one conv kernel (nn/conv_grid.hpp).
+// Conv2d and every serve::ConvOp run the same grid, so executor parity
+// tests cannot catch a bug in it; a double-precision direct convolution
+// can. Tolerance, stated once: the forward error bound of a length-k dot
+// product in float, |y - ref| <= (k + 2) * FLT_EPSILON * (sum|w*x| + |b|)
+// with k = col_rows. The batches make the column-budget blocks split
+// inside a tile (with a partial last block); pool width 4 makes the
+// channel axis split at batch 1 for the first geometry.
+TEST(Conv2d, ForwardMatchesDirectConvolution) {
+  struct Geo {
+    const char* what;
+    int64_t in_c, out_c, kernel, stride, pad, h, w;
+    bool splits_at_b1;  // enough work for 2 channel tiles at batch 1
+  };
+  const Geo geos[] = {
+      {"3x3 pad 1", 24, 24, 3, 1, 1, 18, 18, true},  // 1-sample blocks
+      {"stride 2", 8, 12, 3, 2, 1, 11, 11, false},   // 25-sample blocks
+      {"1x1", 24, 16, 1, 1, 0, 13, 11, false},       // 19-sample blocks
+      {"odd 7x5", 5, 7, 3, 1, 1, 7, 5, false},       // 41-sample blocks
+  };
+  ThreadPool& pool = ThreadPool::instance();
+  const int original = pool.threads();
+  const auto jobs = [] {
+    return obs::Profiler::instance().snapshot().counters["threadpool.jobs"];
+  };
+  for (const Geo& geo : geos) {
+    Conv2d conv("c", geo.in_c, geo.out_c, geo.kernel, geo.stride, geo.pad, /*bias=*/true);
+    Rng rng(77);
+    rng.fill_normal(conv.weight().data, 0.0f, 1.0f);
+    rng.fill_normal(conv.bias()->data, 0.0f, 1.0f);
+    Conv2d nobias("c", geo.in_c, geo.out_c, geo.kernel, geo.stride, geo.pad, /*bias=*/false);
+    nobias.weight().data = conv.weight().data;
+    const int64_t oh = (geo.h + 2 * geo.pad - geo.kernel) / geo.stride + 1;
+    const int64_t ow = (geo.w + 2 * geo.pad - geo.kernel) / geo.stride + 1;
+    const int64_t k = geo.in_c * geo.kernel * geo.kernel;
+    for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{64}}) {
+      const Tensor x = random_input({n, geo.in_c, geo.h, geo.w}, 78);
+      // Direct loop: ref[i, c, oy, ox] without bias, and its sum|w*x|.
+      std::vector<double> ref(static_cast<size_t>(n * geo.out_c * oh * ow));
+      std::vector<double> mag(ref.size());
+      const float* wp = conv.weight().data.data();
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t c = 0; c < geo.out_c; ++c) {
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            for (int64_t ox = 0; ox < ow; ++ox) {
+              double acc = 0.0, abs_sum = 0.0;
+              for (int64_t ic = 0; ic < geo.in_c; ++ic) {
+                for (int64_t ky = 0; ky < geo.kernel; ++ky) {
+                  const int64_t iy = oy * geo.stride - geo.pad + ky;
+                  if (iy < 0 || iy >= geo.h) continue;
+                  for (int64_t kx = 0; kx < geo.kernel; ++kx) {
+                    const int64_t ix = ox * geo.stride - geo.pad + kx;
+                    if (ix < 0 || ix >= geo.w) continue;
+                    const double t =
+                        static_cast<double>(wp[((c * geo.in_c + ic) * geo.kernel + ky) *
+                                                   geo.kernel + kx]) *
+                        x.data()[((i * geo.in_c + ic) * geo.h + iy) * geo.w + ix];
+                    acc += t;
+                    abs_sum += std::fabs(t);
+                  }
+                }
+              }
+              const size_t at = static_cast<size_t>(((i * geo.out_c + c) * oh + oy) * ow + ox);
+              ref[at] = acc;
+              mag[at] = abs_sum;
+            }
+          }
+        }
+      }
+      for (const int threads : {1, 4}) {
+        pool.set_threads(threads);
+        for (Conv2d* layer : {&conv, &nobias}) {
+          SCOPED_TRACE(std::string(geo.what) + " batch " + std::to_string(n) + " threads " +
+                       std::to_string(threads) + (layer == &conv ? " bias" : " no bias"));
+          obs::set_profiling_enabled(true);
+          const int64_t before = jobs();
+          const Tensor y = layer->forward(x, false);
+          const int64_t fanouts = jobs() - before;
+          obs::set_profiling_enabled(false);
+          if (geo.splits_at_b1 && n == 1 && threads == 4) {
+            EXPECT_GT(fanouts, 0) << "batch-1 channel tiles did not split";
+          }
+          const Tensor y_train = layer->forward(x, true);
+          ASSERT_EQ(y.shape(), (Shape{n, geo.out_c, oh, ow}));
+          ASSERT_TRUE(ops::allclose(y_train, y, 0.0f, 0.0f)) << "train and eval forward differ";
+          int64_t bad = 0;
+          for (size_t at = 0; at < ref.size(); ++at) {
+            const int64_t c = static_cast<int64_t>(at) / (oh * ow) % geo.out_c;
+            const double b = layer == &conv ? conv.bias()->data.data()[c] : 0.0;
+            const double tol = (k + 2) * std::numeric_limits<float>::epsilon() *
+                               (mag[at] + std::fabs(b));
+            if (!(std::fabs(y.data()[at] - (ref[at] + b)) <= tol)) ++bad;
+          }
+          EXPECT_EQ(bad, 0) << "of " << ref.size() << " outputs off the direct convolution";
+        }
+      }
+    }
+  }
   pool.set_threads(original);
 }
 
