@@ -1,9 +1,12 @@
 // Perf-baseline tooling for the BENCH_perf.json workflow.
 //
-//   check_regression emit <gbench.json> <out.json>
+//   check_regression emit <gbench.json>... <out.json>
 //       Post-processes google-benchmark --benchmark_format=json output
-//       into the compact committed-baseline schema:
-//       {schema, simd, benchmarks: [{name, ns, items_per_sec}]}.
+//       (one or more files) into the compact committed-baseline schema:
+//       {schema, simd, benchmarks: [{name, ns, items_per_sec, reps, iqr_ns}]}.
+//       Repeated iteration rows of one name (--benchmark_repetitions, or
+//       the same benchmark in several files) fold into their median, with
+//       the row count in `reps` and the interquartile range in `iqr_ns`.
 //       Benchmarks that called SkipWithError (e.g. BM_GemmKernel's
 //       avx512 entry on a host without AVX-512) are recorded as
 //       {name, skipped: true} instead of fake timings.
@@ -19,7 +22,8 @@
 //       enforces the multithread scaling gate: the fused conv grid must
 //       give BM_ConvForwardMT/64 a >= 1.6x threads-4 speedup over
 //       threads-1, and BM_ConvForwardMT/1 at threads-4 may be no slower
-//       than at threads-1 beyond the default 35% band. Both are skipped
+//       than at threads-1 beyond the default 35% band. Both read whatever
+//       `ns` holds, the median when the run was repeated, and are skipped
 //       with a logged reason on hosts with fewer than 4 cores (the
 //       ratio is noise there).
 //       Both files must carry the compact schema; a file that does not,
@@ -27,10 +31,12 @@
 //       rejected with its name.
 //       Exit code 0 = within band, 1 = regression, 2 = bad input.
 //
-// Typical flow (also run by CI in quick mode):
+// Typical flow (also run by CI in quick mode, with the mt-gate's
+// BM_ConvForwardMT in a second run of --benchmark_repetitions=5):
 //   ./micro_primitives --benchmark_format=json > /tmp/raw.json
 //   ./check_regression emit /tmp/raw.json /tmp/current.json
 //   ./check_regression check BENCH_perf.json /tmp/current.json
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -239,9 +245,11 @@ constexpr const char* kPerfSchema = "shrinkbench.bench_perf/v1";
 
 struct Entry {
   std::string name;
-  double ns = 0.0;
+  double ns = 0.0;             // median over the folded rows
   double items_per_sec = 0.0;  // 0 when the bench reports no items
   bool skipped = false;        // bench ran SkipWithError (no timings)
+  int64_t reps = 1;            // iteration rows folded into ns
+  double iqr_ns = 0.0;         // their interquartile range
 };
 
 double to_ns(double t, const std::string& unit) {
@@ -259,23 +267,60 @@ std::string json_num(double v) {
   return buf;
 }
 
-int emit(const std::string& in_path, const std::string& out_path) {
-  const JsonValue root = parse_file(in_path);
+// Quantile q of sorted values, interpolating between the nearest two.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+int emit(const std::vector<std::string>& in_paths, const std::string& out_path) {
   std::string simd = "unknown";
-  if (root.has("context") && root.at("context").has("simd")) {
-    simd = root.at("context").at("simd").string;
+  // Iteration rows by name, names in first-seen order.
+  struct Rows {
+    std::vector<double> ns, items;
+    bool skipped = false;
+  };
+  std::vector<std::string> order;
+  std::map<std::string, Rows> rows;
+  for (const std::string& in_path : in_paths) {
+    const JsonValue root = parse_file(in_path);
+    if (root.has("context") && root.at("context").has("simd")) {
+      simd = root.at("context").at("simd").string;
+    }
+    for (const JsonValue& b : root.at("benchmarks").array) {
+      // Skip aggregate rows (mean/median/stddev of repetition runs).
+      if (b.has("run_type") && b.at("run_type").string != "iteration") continue;
+      const std::string name = b.at("name").string;
+      if (rows.find(name) == rows.end()) order.push_back(name);
+      Rows& r = rows[name];
+      if (b.has("error_occurred") && b.at("error_occurred").boolean) {
+        r.skipped = true;  // SkipWithError: record the skip, not fake timings
+        continue;
+      }
+      r.ns.push_back(
+          to_ns(b.at("real_time").number, b.has("time_unit") ? b.at("time_unit").string : "ns"));
+      r.items.push_back(b.has("items_per_second") ? b.at("items_per_second").number : 0.0);
+    }
   }
   std::vector<Entry> entries;
-  for (const JsonValue& b : root.at("benchmarks").array) {
-    // Skip aggregate rows (mean/median/stddev of repetition runs).
-    if (b.has("run_type") && b.at("run_type").string != "iteration") continue;
+  for (const std::string& name : order) {
+    Rows& r = rows[name];
     Entry e;
-    e.name = b.at("name").string;
-    if (b.has("error_occurred") && b.at("error_occurred").boolean) {
-      e.skipped = true;  // SkipWithError: record the skip, not fake timings
-    } else {
-      e.ns = to_ns(b.at("real_time").number, b.has("time_unit") ? b.at("time_unit").string : "ns");
-      if (b.has("items_per_second")) e.items_per_sec = b.at("items_per_second").number;
+    e.name = name;
+    e.skipped = r.skipped;
+    if (!e.skipped) {
+      std::sort(r.ns.begin(), r.ns.end());
+      std::sort(r.items.begin(), r.items.end());
+      e.ns = quantile(r.ns, 0.5);
+      e.items_per_sec = quantile(r.items, 0.5);
+      e.reps = static_cast<int64_t>(r.ns.size());
+      e.iqr_ns = quantile(r.ns, 0.75) - quantile(r.ns, 0.25);
+      if (e.reps > 1) {
+        std::printf("folded %s: %lld reps, median %.0f ns, iqr %.0f ns\n", name.c_str(),
+                    static_cast<long long>(e.reps), e.ns, e.iqr_ns);
+      }
     }
     entries.push_back(std::move(e));
   }
@@ -289,7 +334,8 @@ int emit(const std::string& in_path, const std::string& out_path) {
       os << "    {\"name\": \"" << e.name << "\", \"skipped\": true}";
     } else {
       os << "    {\"name\": \"" << e.name << "\", \"ns\": " << json_num(e.ns)
-         << ", \"items_per_sec\": " << json_num(e.items_per_sec) << "}";
+         << ", \"items_per_sec\": " << json_num(e.items_per_sec) << ", \"reps\": " << e.reps
+         << ", \"iqr_ns\": " << json_num(e.iqr_ns) << "}";
     }
     os << (i + 1 < entries.size() ? ",\n" : "\n");
   }
@@ -330,6 +376,7 @@ std::map<std::string, Entry> load_perf(const std::string& path) {
       e.ns = b.at("ns").number;
     }
     if (b.has("items_per_sec")) e.items_per_sec = b.at("items_per_sec").number;
+    if (b.has("reps")) e.reps = static_cast<int64_t>(b.at("reps").number);
     out[e.name] = std::move(e);
   }
   return out;
@@ -375,8 +422,10 @@ int mt_scaling_gate(const std::map<std::string, Entry>& current) {
     const double speedup = i4->second.ns > 0.0 ? i1->second.ns / i4->second.ns : 0.0;
     const double required = batch == 1 ? 1.0 / (1.0 + kDefaultTolerance) : kMinConvSpeedup;
     const bool bad = speedup < required;
-    std::printf("%s mt-gate: batch-%d conv forward threads-4 speedup %.2fx (%s %.2fx)\n",
-                bad ? "REGRESS " : "ok      ", batch, speedup, bad ? "<" : ">=", required);
+    std::printf("%s mt-gate: batch-%d conv forward threads-4 speedup %.2fx (%s %.2fx; "
+                "reps %lld/%lld)\n",
+                bad ? "REGRESS " : "ok      ", batch, speedup, bad ? "<" : ">=", required,
+                static_cast<long long>(i1->second.reps), static_cast<long long>(i4->second.reps));
     if (bad) ++failures;
   }
   return failures;
@@ -431,7 +480,7 @@ int check(const std::string& base_path, const std::string& cur_path, double tole
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  check_regression emit <gbench.json> <out.json>\n"
+               "  check_regression emit <gbench.json>... <out.json>\n"
                "  check_regression check <baseline.json> <current.json> [--tolerance F]\n");
   return 2;
 }
@@ -441,7 +490,7 @@ int usage() {
 int main(int argc, char** argv) {
   try {
     if (argc >= 4 && std::strcmp(argv[1], "emit") == 0) {
-      return emit(argv[2], argv[3]);
+      return emit(std::vector<std::string>(argv + 2, argv + argc - 1), argv[argc - 1]);
     }
     if (argc >= 4 && std::strcmp(argv[1], "check") == 0) {
       double tolerance = kDefaultTolerance;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
@@ -80,6 +81,10 @@ class ConvOp : public Op {
   std::vector<int32_t> row_of;    // out_c entries; -1 = dead
   std::vector<float> bias;        // out_c entries, empty = no bias add
   std::vector<float> fill;        // out_c entries: dead-channel constant
+  // Shrunk: [rows, out_h*out_w] bias plane that replaces `bias` when
+  // folded constant input channels meet zero padding (see compact());
+  // empty otherwise.
+  std::vector<float> plane;
   bool relu = false;              // folded ReLU: clamp in the write-back
 
   const char* kind() const override { return "serve.op.conv"; }
@@ -138,8 +143,17 @@ class ConvOp : public Op {
         float* dst = y + (i * out_c + c) * spatial;
         if (r < 0) {
           std::fill(dst, dst + spatial, fill[static_cast<size_t>(c)]);
-        } else {
-          write_back(out_cm + (r - r_lo) * ld + (i - b.lo) * spatial, spatial, bc, relu, dst);
+          continue;
+        }
+        const float* src = out_cm + (r - r_lo) * ld + (i - b.lo) * spatial;
+        if (plane.empty()) {
+          write_back(src, spatial, bc, relu, dst);
+          continue;
+        }
+        const float* pl = plane.data() + r * spatial;
+        for (int64_t k = 0; k < spatial; ++k) {
+          const float v = src[k] + pl[k];
+          dst[k] = relu ? clamp0(v) : v;
         }
       }
     }
@@ -192,7 +206,8 @@ class LinearOp : public Op {
       return;
     }
 
-    // Shrunk: GEMM over live rows only, scatter into the full width.
+    // Shrunk: GEMM over live rows only, scattered into the output width
+    // (all rows live once compact() has dropped the dead ones).
     const int64_t rows = dense_w.size(0);
     float* y_live = ws.floats(static_cast<size_t>(n * std::max<int64_t>(rows, 1)));
     if (rows > 0) {
@@ -572,8 +587,9 @@ class Compiler {
     }
     // Shrunk: drop all-zero rows from the GEMM. A dead channel's output
     // is exactly its bias constant (the folded weight row is zero), so
-    // the scatter reconstructs the full-width activation and downstream
-    // ops — residual adds included — see full tensors.
+    // the scatter reconstructs the full-width activation; compact() then
+    // removes the dead channels from activations that only feed another
+    // conv or linear op.
     std::vector<int32_t> live;
     for (int64_t r = 0; r < rows; ++r) {
       const float* row = w.data() + r * cols;
@@ -597,6 +613,243 @@ class Compiler {
   ExecMode mode_;
 };
 
+// ---------------------------------------------------------------------------
+// Shrunk layouts: dead channels leave the activations. compact() applies
+// the rules of "Shrunk layouts" in executor.hpp after emission and ReLU
+// folding; the fills it folds are already clamped where a ReLU was folded.
+
+// The layout of one activation along axis 1 (channels, or features once
+// flattened).
+struct Layout {
+  std::vector<int32_t> slot;  // per channel: index among the stored ones, -1 = constant
+  std::vector<float> value;   // per channel: its value when slot < 0
+
+  static Layout full(int64_t channels) {
+    Layout l;
+    l.slot.resize(static_cast<size_t>(channels));
+    std::iota(l.slot.begin(), l.slot.end(), 0);
+    l.value.assign(static_cast<size_t>(channels), 0.0f);
+    return l;
+  }
+  int64_t stored() const {
+    return std::count_if(slot.begin(), slot.end(), [](int32_t s) { return s >= 0; });
+  }
+  bool is_full() const { return stored() == static_cast<int64_t>(slot.size()); }
+};
+
+// Whether op i's output reaches a conv or linear op through pass-through
+// ops only (not through a residual block or to the end of the list).
+bool feeds_consumer(const OpList& ops, size_t i) {
+  for (size_t j = i + 1; j < ops.size(); ++j) {
+    const Op* op = ops[j].get();
+    if (dynamic_cast<const ConvOp*>(op) != nullptr) return true;
+    if (dynamic_cast<const LinearOp*>(op) != nullptr) return true;
+    if (dynamic_cast<const ResidualOp*>(op) != nullptr) return false;
+  }
+  return false;
+}
+
+// The layout after pass-through op `op`, whose input (shape `in`, batch
+// 1, full width) has layout `lay`. Flatten spreads each channel over its
+// plane's features. The other ops keep the channel axis; their constants
+// come from running the op itself on planes that hold them, so a constant
+// channel takes the very arithmetic a stored one would (every pass-through
+// op maps a constant plane to a constant plane). A standalone BN keeps
+// only the stored channels' parameters.
+Layout through(Op& op, const Shape& in, const Layout& lay) {
+  const Shape out_shape = op.out_shape(in);
+  if (lay.is_full()) return Layout::full(out_shape[1]);
+  const int64_t channels = in[1];
+  const int64_t plane = numel_of(in) / channels;
+  Layout out;
+  if (dynamic_cast<FlattenOp*>(&op) != nullptr) {
+    for (int64_t c = 0; c < channels; ++c) {
+      const int32_t s = lay.slot[static_cast<size_t>(c)];
+      for (int64_t k = 0; k < plane; ++k) {
+        out.slot.push_back(s < 0 ? -1 : static_cast<int32_t>(s * plane + k));
+        out.value.push_back(lay.value[static_cast<size_t>(c)]);
+      }
+    }
+    return out;
+  }
+  std::vector<float> x(static_cast<size_t>(numel_of(in)), 0.0f);
+  std::vector<float> y(static_cast<size_t>(numel_of(out_shape)));
+  for (int64_t c = 0; c < channels; ++c) {
+    std::fill_n(x.begin() + c * plane, plane, lay.value[static_cast<size_t>(c)]);
+  }
+  op.run(x.data(), in, y.data());
+  const int64_t out_plane = numel_of(out_shape) / channels;
+  out.slot = lay.slot;
+  out.value.resize(static_cast<size_t>(channels));
+  for (int64_t c = 0; c < channels; ++c) {
+    out.value[static_cast<size_t>(c)] = y[static_cast<size_t>(c * out_plane)];
+  }
+  if (auto* bn = dynamic_cast<BnOp*>(&op)) {
+    const int64_t stored = lay.stored();
+    for (std::vector<float>* v : {&bn->mean, &bn->inv_std, &bn->gamma, &bn->beta}) {
+      std::vector<float> kept(static_cast<size_t>(stored));
+      for (int64_t c = 0; c < channels; ++c) {
+        const int32_t s = lay.slot[static_cast<size_t>(c)];
+        if (s >= 0) kept[static_cast<size_t>(s)] = (*v)[static_cast<size_t>(c)];
+      }
+      *v = std::move(kept);
+    }
+    bn->channels = stored;
+  }
+  return out;
+}
+
+// Adds `folded[row_of[c]]` (one value per live row, or per live row and
+// output position when `spatial` > 1 and the values vary) to the bias of
+// every live output c, turning the bias into `plane` when they vary.
+// No-op when everything folded is 0.
+void fold_into_bias(const std::vector<int32_t>& row_of, const std::vector<double>& folded,
+                    int64_t spatial, std::vector<float>& bias, std::vector<float>* plane) {
+  if (std::all_of(folded.begin(), folded.end(), [](double v) { return v == 0.0; })) return;
+  const int64_t rows = static_cast<int64_t>(folded.size()) / spatial;
+  bool uniform = true;
+  for (int64_t r = 0; r < rows && uniform; ++r) {
+    const double* f = folded.data() + r * spatial;
+    uniform = std::all_of(f, f + spatial, [&](double v) { return v == f[0]; });
+  }
+  if (bias.empty()) bias.assign(row_of.size(), 0.0f);
+  if (!uniform) plane->resize(static_cast<size_t>(rows * spatial));
+  for (size_t c = 0; c < row_of.size(); ++c) {
+    const int64_t r = row_of[c];
+    if (r < 0) continue;
+    const double* f = folded.data() + r * spatial;
+    if (uniform) {
+      bias[c] = static_cast<float>(bias[c] + f[0]);
+      continue;
+    }
+    float* dst = plane->data() + r * spatial;
+    for (int64_t p = 0; p < spatial; ++p) dst[p] = static_cast<float>(bias[c] + f[p]);
+  }
+}
+
+// A conv consuming layout `lay` (input shape `in`, batch 1, full width)
+// keeps the weight columns of the stored channels and folds the constant
+// ones: each tap of w[r,ci] that lands inside the input at output
+// position p adds c_ci·w to (r, p); taps in the zero padding add nothing.
+void take_input(ConvOp& op, const Layout& lay, const Shape& in) {
+  if (lay.is_full()) return;
+  const ConvGeometry g{op.in_c, in[2], in[3], op.kernel, op.kernel, op.stride, op.pad};
+  const int64_t kk = op.kernel * op.kernel, rows = op.dense_w.size(0);
+  const int64_t oh = g.out_h(), ow = g.out_w(), stored = lay.stored();
+  Tensor w({rows, stored * kk});
+  std::vector<double> folded(static_cast<size_t>(rows * oh * ow), 0.0);
+  for (int64_t r = 0; r < rows; ++r) {
+    double* acc = folded.data() + r * oh * ow;
+    for (int64_t ci = 0; ci < op.in_c; ++ci) {
+      const float* wc = op.dense_w.data() + r * g.col_rows() + ci * kk;
+      const int32_t s = lay.slot[static_cast<size_t>(ci)];
+      if (s >= 0) {
+        std::copy(wc, wc + kk, w.data() + (r * stored + s) * kk);
+        continue;
+      }
+      const double v = lay.value[static_cast<size_t>(ci)];
+      if (v == 0.0) continue;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          double taps = 0.0;
+          for (int64_t ky = 0; ky < op.kernel; ++ky) {
+            const int64_t iy = oy * op.stride - op.pad + ky;
+            if (iy < 0 || iy >= g.in_h) continue;
+            for (int64_t kx = 0; kx < op.kernel; ++kx) {
+              const int64_t ix = ox * op.stride - op.pad + kx;
+              if (ix >= 0 && ix < g.in_w) taps += wc[ky * op.kernel + kx];
+            }
+          }
+          acc[oy * ow + ox] += v * taps;
+        }
+      }
+    }
+  }
+  op.dense_w = std::move(w);
+  op.in_c = stored;
+  fold_into_bias(op.row_of, folded, oh * ow, op.bias, &op.plane);
+}
+
+// A linear op consuming layout `lay` keeps the weight columns of the
+// stored features and folds the constant ones into its bias exactly.
+void take_input(LinearOp& op, const Layout& lay) {
+  if (lay.is_full()) return;
+  const int64_t rows = op.dense_w.size(0), stored = lay.stored();
+  Tensor w({rows, stored});
+  std::vector<double> folded(static_cast<size_t>(rows), 0.0);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* src = op.dense_w.data() + r * op.in;
+    for (int64_t f = 0; f < op.in; ++f) {
+      const int32_t s = lay.slot[static_cast<size_t>(f)];
+      if (s >= 0) {
+        w.data()[r * stored + s] = src[f];
+      } else {
+        folded[static_cast<size_t>(r)] +=
+            static_cast<double>(lay.value[static_cast<size_t>(f)]) * src[f];
+      }
+    }
+  }
+  op.dense_w = std::move(w);
+  op.in = stored;
+  fold_into_bias(op.row_of, folded, 1, op.bias, nullptr);
+}
+
+// Makes a producer store only its live rows (renumbering its bias by row)
+// and returns its output layout: live channels stored in row order, dead
+// ones at their fill. A producer with no live row stays full-width.
+template <typename OpT>
+Layout drop_dead(OpT& op, int64_t& width) {
+  const int64_t rows = op.dense_w.size(0);
+  if (rows == 0) return Layout::full(width);
+  Layout out{op.row_of, op.fill};
+  if (!op.bias.empty()) {
+    std::vector<float> bias(static_cast<size_t>(rows));
+    for (size_t c = 0; c < op.row_of.size(); ++c) {
+      if (op.row_of[c] >= 0) bias[static_cast<size_t>(op.row_of[c])] = op.bias[c];
+    }
+    op.bias = std::move(bias);
+  }
+  op.row_of.resize(static_cast<size_t>(rows));
+  std::iota(op.row_of.begin(), op.row_of.end(), 0);
+  op.fill.assign(static_cast<size_t>(rows), 0.0f);
+  width = rows;
+  return out;
+}
+
+// Gives the activations of `ops` their Shrunk layouts (see above). `in`
+// is the list's batch-1 input shape, which arrives full-width.
+void compact(OpList& ops, const Shape& in) {
+  const std::vector<Shape> shapes = shapes_of(ops, in);  // full widths
+  Layout lay = Layout::full(in[1]);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    Op& op = *ops[i];
+    const int64_t out_c = shapes[i + 1][1];
+    if (auto* conv = dynamic_cast<ConvOp*>(&op)) {
+      take_input(*conv, lay, shapes[i]);
+      lay = feeds_consumer(ops, i) ? drop_dead(*conv, conv->out_c) : Layout::full(out_c);
+    } else if (auto* linear = dynamic_cast<LinearOp*>(&op)) {
+      take_input(*linear, lay);
+      lay = feeds_consumer(ops, i) ? drop_dead(*linear, linear->out) : Layout::full(out_c);
+    } else if (auto* res = dynamic_cast<ResidualOp*>(&op)) {
+      compact(res->main_ops, shapes[i]);
+      compact(res->shortcut_ops, shapes[i]);
+      lay = Layout::full(out_c);
+    } else {
+      lay = through(op, shapes[i], lay);
+    }
+  }
+}
+
+// The span a forward of this mode runs under, inside "serve.exec".
+const char* exec_span(ExecMode mode) {
+  switch (mode) {
+    case ExecMode::Dense: return "serve.exec.dense";
+    case ExecMode::Csr: return "serve.exec.csr";
+    case ExecMode::Shrunk: return "serve.exec.shrunk";
+  }
+  return "serve.exec";
+}
+
 }  // namespace
 
 std::string to_string(ExecMode mode) {
@@ -617,9 +870,15 @@ ExecMode exec_mode_from_name(const std::string& name) {
 
 Tensor Executor::forward(const Tensor& x) const {
   SB_PROFILE_SCOPE("serve.exec");
-  if (x.dim() < 2) {
-    throw std::invalid_argument("serve::Executor: input must be batched, got " +
-                                shrinkbench::to_string(x.shape()));
+  SB_PROFILE_SCOPE(exec_span(mode_));
+  // A bias plane is compiled for one spatial size, and a GAP head would
+  // otherwise accept any: only the compiled sample shape is served.
+  const Shape& s = x.shape();
+  if (s.size() != sample_shape_.size() + 1 ||
+      !std::equal(sample_shape_.begin(), sample_shape_.end(), s.begin() + 1)) {
+    throw std::invalid_argument("serve::Executor: input " + shrinkbench::to_string(s) +
+                                " is not a batch of the compiled sample shape " +
+                                shrinkbench::to_string(sample_shape_));
   }
   const std::vector<Shape> shapes = shapes_of(ops_, x.shape());
   Tensor y(shapes.back());
@@ -637,6 +896,11 @@ Executor compile(Sequential& model, const Shape& sample_shape, ExecMode mode) {
   exec.flops_effective_ = model.effective_flops(sample_shape);
   Compiler compiler(mode);
   compiler.emit_sequential(model, exec.ops_);
+  if (mode == ExecMode::Shrunk) {
+    Shape in{1};
+    in.insert(in.end(), sample_shape.begin(), sample_shape.end());
+    compact(exec.ops_, in);
+  }
   return exec;
 }
 

@@ -12,13 +12,34 @@
 //           kernel; batch norm is folded into the preceding conv so the
 //           sparse matmul is the only per-layer matrix work.
 //   Shrunk  channel sparsity: BN folded, then all-zero output-channel
-//           rows are physically dropped from the GEMM. Dead channels
-//           still appear in the output, filled with their folded bias
-//           constant — (0 - mean) * inv_std * gamma + beta is *not* zero,
-//           so naive channel deletion would be wrong anywhere a BN
-//           follows a pruned conv. Packing rows instead of rewriting the
-//           graph keeps residual shapes and downstream layers intact
-//           while the GEMM cost tracks effective FLOPs.
+//           rows are physically dropped from the GEMM, and dead channels
+//           leave the activations too. A dead channel is the constant
+//           (0 - mean) * inv_std * gamma + beta — *not* zero — so it
+//           cannot simply be deleted; it is folded instead. See
+//           "Shrunk layouts" below.
+//
+// Shrunk layouts. A compile pass gives every activation a layout: the
+// channels it stores, plus a compile-time constant for every other one.
+//   * A conv or linear op whose output reaches a conv or linear consumer
+//     only through pass-through ops (ReLU, max/avg pool, GAP, Flatten,
+//     standalone BN) stores only its live rows and writes no fill.
+//   * The pass-through ops map the constants at compile time (ReLU
+//     clamps, pooling keeps them, BN applies its affine map) and a
+//     standalone BN keeps only the stored channels' parameters.
+//   * The consumer multiplies only the weight columns of the stored
+//     channels. A linear consumer folds the constant inputs into its
+//     bias exactly (Σ W·c). A conv folds them into a bias plane, one
+//     value per (live output row, output position), c·Σ(in-bounds taps
+//     of w): zero padding makes a constant input non-constant at the
+//     borders. With pad 0, or when every constant is 0, the plane is a
+//     scalar bias. A plane is sized to the compiled sample shape, which
+//     is why forward() accepts no other.
+//   * The executor's output, a residual block's input and both its
+//     branch outputs stay full-width (dead channels written as their
+//     fill), and so does a producer with no live rows: residual adds see
+//     whole tensors and no tensor has zero channels.
+// The only runtime cost it adds is the plane add in a conv's write-back.
+// Dense and Csr never run the pass.
 //
 // One conv kernel serves all three modes and the training layer:
 // conv_grid (nn/conv_grid.hpp), the fused (sample × out-channel-tile)
@@ -32,8 +53,8 @@
 // SB_THREADS.
 //
 // Fused epilogue. Each conv, linear and BN op finishes in one write-back
-// pass: bias, dead-channel fill and — when compile() folded the ReLU that
-// follows it into the op — the clamp. Such a ReLU never runs as an op of
+// pass: bias (or bias plane), dead-channel fill and — when compile()
+// folded the ReLU that follows it into the op — the clamp. Such a ReLU never runs as an op of
 // its own. A dead channel's folded fill becomes max(fill, 0), which is
 // exact: its pre-activation is that constant everywhere.
 //
@@ -48,8 +69,10 @@
 // Executors hold copies of all weights: the source model can keep
 // training or be destroyed. forward() is eval-only, write-free and
 // thread-safe (all storage is per thread), so one executor is shared by
-// all server workers. With SB_PROF on, each op runs under a
-// "serve.op.<kind>" span nested in "serve.exec".
+// all server workers. With SB_PROF on, each forward runs under a
+// "serve.exec" span holding a "serve.exec.<mode>" span, and each op runs
+// under a "serve.op.<kind>" span nested in that
+// ("serve.exec/serve.exec.shrunk/serve.op.conv").
 #pragma once
 
 #include <cstdint>
@@ -84,8 +107,9 @@ class Op {
 
 class Executor {
  public:
-  /// x: [N, ...sample_shape]. Thread-safe; intermediates and scratch
-  /// come from the calling thread's workspace arena.
+  /// x: [N, ...sample_shape]; any other shape throws
+  /// std::invalid_argument. Thread-safe; intermediates and scratch come
+  /// from the calling thread's workspace arena.
   Tensor forward(const Tensor& x) const;
 
   ExecMode mode() const { return mode_; }
@@ -115,8 +139,9 @@ class Executor {
 /// Compiles the model for the given per-sample input shape. Csr/Shrunk
 /// use effective weights (data ⊙ mask) and fold eval-mode batch norm
 /// into the preceding conv/linear; every mode folds a ReLU into the
-/// conv, linear or BN op it follows; Dense otherwise replays the model
-/// verbatim. Throws std::invalid_argument on layer types the compiler
+/// conv, linear or BN op it follows; Shrunk then drops dead channels
+/// from the activations (see "Shrunk layouts"); Dense otherwise replays
+/// the model verbatim. Throws std::invalid_argument on layer types the compiler
 /// doesn't know.
 Executor compile(Sequential& model, const Shape& sample_shape, ExecMode mode);
 

@@ -1,6 +1,9 @@
 // Serving engine tests: compiler parity against the eval-mode model,
 // ReLU folding (no standalone ReLU after a conv, BN or linear op; exact
-// clamp of a dead channel's negative fill), dynamic-batcher semantics
+// clamp of a dead channel's negative fill), the Shrunk layout rules (dead
+// channels dropped from activations and folded into their consumer's
+// bias or bias plane; no dead channel lowered), per-mode profiler spans,
+// sample-shape checks, dynamic-batcher semantics
 // (work-conserving flush, backlog coalescing, max-wait flush, lossless
 // drain), parallel CSR matmul determinism, and the executor's activation
 // storage: steady-state zero arena growth and a bounded high-water mark
@@ -30,8 +33,11 @@
 #include "nn/init.hpp"
 #include "nn/layer.hpp"
 #include "nn/linear.hpp"
+#include "nn/pool.hpp"
+#include "nn/residual.hpp"
 #include "nn/sparse.hpp"
 #include "obs/io.hpp"
+#include "obs/profile.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
@@ -78,9 +84,9 @@ ModelPtr pruned_zoo_model(const std::string& arch, const Shape& sample, Structur
 
 // Compares the compiled executor against the eval-mode Sequential at
 // batches 1, 7, 32 and the benchmark's 64. rtol/atol == 0 demands bit-identity (Dense
-// mode); Csr/Shrunk fold BN into the weights before the matmul, which
-// reorders the floating-point work per output element, so those modes get
-// a small documented tolerance instead.
+// mode); Csr folds BN into the weights before the matmul, which reorders
+// the floating-point work per output element, so it gets a small
+// documented tolerance instead. Shrunk has expect_shrunk_parity below.
 void expect_parity(Sequential& model, const Shape& sample, ExecMode mode, float rtol,
                    float atol) {
   const serve::Executor exec = serve::compile(model, sample, mode);
@@ -98,6 +104,41 @@ void expect_parity(Sequential& model, const Shape& sample, ExecMode mode, float 
   }
 }
 
+// Differential parity of the Shrunk executor against the eval-mode
+// forward. Shrunk folds BN into the conv weights and the dead channels'
+// constants (in double) into their consumer's bias or bias plane, which
+// reorders the float sums behind each output, so every Shrunk comparison
+// uses this one tolerance: |shrunk - eval| <= kFoldTol * (1 + |eval|).
+// The graphs below and the zoo models at channel keep 0.25 differ by
+// under 1e-6 on an AVX-512 host; a border plane replaced by its interior
+// value, or a positive fill left unfolded, differs by 3e-3 or more.
+constexpr float kFoldTol = 1e-4f;
+
+// Shrunk vs eval forward at batches 1, 7, 32 and 64, and bit identity of
+// the Shrunk output across pool widths 1 and 4.
+void expect_shrunk_parity(Sequential& model, const Shape& sample) {
+  const serve::Executor exec = serve::compile(model, sample, ExecMode::Shrunk);
+  ThreadPool& pool = ThreadPool::instance();
+  const int original = pool.threads();
+  Rng rng(91);
+  for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{32}, int64_t{64}}) {
+    Shape in{n};
+    in.insert(in.end(), sample.begin(), sample.end());
+    Tensor x(in);
+    rng.fill_normal(x, 0, 1);
+    const Tensor ref = model.forward(x, /*train=*/false);
+    pool.set_threads(1);
+    const Tensor serial = exec.forward(x);
+    pool.set_threads(4);
+    const Tensor pooled = exec.forward(x);
+    ASSERT_EQ(serial.shape(), ref.shape());
+    EXPECT_TRUE(ops::allclose(serial, ref, kFoldTol, kFoldTol))
+        << "shrunk diverged from eval forward at batch " << n;
+    EXPECT_TRUE(ops::allclose(pooled, serial, 0, 0)) << "threads 1 vs 4 differ at batch " << n;
+  }
+  pool.set_threads(original);
+}
+
 const Shape kCifarSample{3, 32, 32};
 
 TEST(ServeExecutor, DenseBitMatchesVgg) {
@@ -111,8 +152,11 @@ TEST(ServeExecutor, CsrMatchesVgg) {
 }
 
 TEST(ServeExecutor, ShrunkMatchesChannelPrunedVgg) {
-  ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, 0.5);
-  expect_parity(*m, kCifarSample, ExecMode::Shrunk, 1e-3f, 1e-3f);
+  for (const double keep : {0.5, 0.25}) {
+    SCOPED_TRACE(keep);
+    ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, keep);
+    expect_shrunk_parity(*m, kCifarSample);
+  }
 }
 
 TEST(ServeExecutor, DenseBitMatchesResnet20) {
@@ -126,8 +170,11 @@ TEST(ServeExecutor, CsrMatchesResnet20) {
 }
 
 TEST(ServeExecutor, ShrunkMatchesChannelPrunedResnet20) {
-  ModelPtr m = pruned_zoo_model("resnet-20", kCifarSample, Structure::Channel, 0.5);
-  expect_parity(*m, kCifarSample, ExecMode::Shrunk, 2e-3f, 2e-3f);
+  for (const double keep : {0.5, 0.25}) {
+    SCOPED_TRACE(keep);
+    ModelPtr m = pruned_zoo_model("resnet-20", kCifarSample, Structure::Channel, keep);
+    expect_shrunk_parity(*m, kCifarSample);
+  }
 }
 
 TEST(ServeExecutor, TheoreticalSpeedupTracksEffectiveFlops) {
@@ -146,6 +193,42 @@ TEST(ServeExecutor, ForwardRejectsWrongSampleShape) {
   const serve::Executor exec = serve::compile(*m, kCifarSample, ExecMode::Dense);
   Tensor bad({2, 3, 16, 16});
   EXPECT_THROW(exec.forward(bad), std::invalid_argument);
+}
+
+TEST(ServeExecutor, ForwardRejectsForeignSpatialSizeBehindGapHead) {
+  // resnet-20's GAP head would take a 16x16 input without complaint; the
+  // executor serves only the sample shape it was compiled for (a Shrunk
+  // bias plane is sized to its spatial map).
+  ModelPtr m = pruned_zoo_model("resnet-20", kCifarSample, Structure::Channel, 0.25);
+  Rng rng(2);
+  Tensor bad({2, 3, 16, 16});
+  rng.fill_normal(bad, 0, 1);
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    const serve::Executor exec = serve::compile(*m, kCifarSample, mode);
+    EXPECT_THROW(exec.forward(bad), std::invalid_argument) << serve::to_string(mode);
+  }
+}
+
+TEST(ServeExecutor, ProfiledForwardNestsOpSpansUnderItsMode) {
+  ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, 0.25);
+  Tensor x({1, 3, 32, 32});
+  Rng rng(4);
+  rng.fill_normal(x, 0, 1);
+  const bool was_enabled = obs::profiling_enabled();
+  obs::set_profiling_enabled(true);
+  obs::Profiler::instance().reset();
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    serve::compile(*m, kCifarSample, mode).forward(x);
+  }
+  const obs::MetricsSnapshot snap = obs::Profiler::instance().snapshot();
+  obs::Profiler::instance().reset();
+  obs::set_profiling_enabled(was_enabled);
+  for (const char* mode : {"dense", "csr", "shrunk"}) {
+    const std::string exec = std::string("serve.exec/serve.exec.") + mode;
+    EXPECT_EQ(snap.spans.count(exec), 1u) << exec;
+    EXPECT_EQ(snap.spans.count(exec + "/serve.op.conv"), 1u) << exec;
+    EXPECT_EQ(snap.spans.count(exec + "/serve.op.linear"), 1u) << exec;
+  }
 }
 
 TEST(ServeExecutor, ModeNamesRoundTrip) {
@@ -259,6 +342,252 @@ TEST(ServeExecutor, ShrunkDeadChannelNegativeFillClampsToZero) {
     }
   }
   EXPECT_TRUE(live_positive) << "live channels should still pass positive activations";
+}
+
+// ---- Shrunk layouts: dead channels leave every activation ----
+//
+// Hand-built graphs that hit each exactness condition of the layout pass,
+// checked with expect_shrunk_parity.
+
+// Activation shapes of a compiled executor for one sample: input, then
+// each top-level op's output.
+std::vector<Shape> exec_shapes(const serve::Executor& exec, const Shape& sample) {
+  Shape s{1};
+  s.insert(s.end(), sample.begin(), sample.end());
+  std::vector<Shape> shapes{s};
+  for (size_t i = 0; i < exec.op_count(); ++i) {
+    shapes.push_back(exec.op(i).out_shape(shapes.back()));
+  }
+  return shapes;
+}
+
+template <typename L, typename... Args>
+L& add_layer(Sequential& model, Args&&... args) {
+  auto owned = std::make_unique<L>(std::forward<Args>(args)...);
+  L& layer = *owned;
+  model.add(std::move(owned));
+  return layer;
+}
+
+// Kaiming weights, off-default biases and BN affine parameters, and BN
+// running statistics away from 0/1, so no folding mistake hides.
+void randomize(Sequential& model, Rng& rng) {
+  init_model(model, rng);
+  for (Parameter* p : parameters_of(model)) {
+    if (!p->prunable) rng.fill_normal(p->data, 0.1f, 0.5f);
+  }
+  visit_layers(model, [&](Layer& layer) {
+    if (auto* bn = dynamic_cast<BatchNorm2d*>(&layer)) {
+      for (int64_t c = 0; c < bn->running_mean().numel(); ++c) {
+        bn->running_mean().at(c) = static_cast<float>(rng.uniform(-0.3, 0.3));
+        bn->running_var().at(c) = static_cast<float>(rng.uniform(0.5, 1.5));
+      }
+    }
+  });
+}
+
+// Prunes whole output channels of a bias-free conv followed by `bn` and
+// pins each one's folded fill, (0 - mean) * scale + beta, to the given
+// value by zeroing its running mean.
+void kill_channels(Conv2d& conv, BatchNorm2d& bn,
+                   const std::vector<std::pair<int64_t, float>>& fills) {
+  const int64_t row = conv.weight().numel() / conv.out_channels();
+  for (const auto& [c, fill] : fills) {
+    for (int64_t j = 0; j < row; ++j) conv.weight().mask.at(c * row + j) = 0.0f;
+    bn.running_mean().at(c) = 0.0f;
+    bn.beta().data.at(c) = fill;
+  }
+  conv.weight().apply_mask();
+}
+
+// Prunes whole output rows of a linear layer; each one's fill is its bias.
+void kill_rows(Linear& fc, const std::vector<std::pair<int64_t, float>>& fills) {
+  const int64_t in = fc.in_features();
+  for (const auto& [r, fill] : fills) {
+    for (int64_t j = 0; j < in; ++j) fc.weight().mask.at(r * in + j) = 0.0f;
+    fc.bias()->data.at(r) = fill;
+  }
+  fc.weight().apply_mask();
+}
+
+TEST(ServeShrunkLayout, DeadChannelsFoldIntoPaddedConvBorderPlane) {
+  // Channel 1 (fill +0.7 after BN) and 3 (fill -0.6, zero after the
+  // ReLU) of conv a feed a 3x3 pad-1 conv: the positive constant's
+  // contribution is smaller at the border, where taps land in padding.
+  Rng rng(31);
+  Sequential m("padded");
+  auto& a = add_layer<Conv2d>(m, "a", 2, 5, 3, 1, 1, false);
+  auto& a_bn = add_layer<BatchNorm2d>(m, "a.bn", 5);
+  add_layer<ReLU>(m, "a.relu");
+  auto& b = add_layer<Conv2d>(m, "b", 5, 4, 3, 1, 1, false);
+  auto& b_bn = add_layer<BatchNorm2d>(m, "b.bn", 4);
+  add_layer<ReLU>(m, "b.relu");
+  randomize(m, rng);
+  kill_channels(a, a_bn, {{1, 0.7f}, {3, -0.6f}});
+  kill_channels(b, b_bn, {{2, 0.4f}});
+  const Shape sample{2, 7, 5};
+  expect_shrunk_parity(m, sample);
+  const std::vector<Shape> shapes =
+      exec_shapes(serve::compile(m, sample, ExecMode::Shrunk), sample);
+  EXPECT_EQ(shapes[1], (Shape{1, 3, 7, 5})) << "conv a should store only its 3 live channels";
+  EXPECT_EQ(shapes.back(), (Shape{1, 4, 7, 5})) << "the executor's output stays full-width";
+}
+
+TEST(ServeShrunkLayout, StrideTwoAndPointwiseConsumers) {
+  Rng rng(32);
+  Sequential m("strided");
+  auto& a = add_layer<Conv2d>(m, "a", 3, 6, 3, 1, 1, false);
+  auto& a_bn = add_layer<BatchNorm2d>(m, "a.bn", 6);
+  add_layer<ReLU>(m, "a.relu");
+  auto& b = add_layer<Conv2d>(m, "b", 6, 5, 3, 2, 1, false);
+  auto& b_bn = add_layer<BatchNorm2d>(m, "b.bn", 5);
+  add_layer<ReLU>(m, "b.relu");
+  add_layer<Conv2d>(m, "c", 5, 4, 1, 1, 0, false);
+  add_layer<BatchNorm2d>(m, "c.bn", 4);
+  add_layer<ReLU>(m, "c.relu");
+  randomize(m, rng);
+  kill_channels(a, a_bn, {{0, 0.5f}, {2, 0.8f}, {5, -0.3f}});
+  kill_channels(b, b_bn, {{1, 0.6f}, {4, -0.2f}});
+  const Shape sample{3, 9, 7};
+  expect_shrunk_parity(m, sample);
+  const std::vector<Shape> shapes =
+      exec_shapes(serve::compile(m, sample, ExecMode::Shrunk), sample);
+  EXPECT_EQ(shapes[1][1], 3);
+  EXPECT_EQ(shapes[2][1], 3);
+}
+
+TEST(ServeShrunkLayout, AvgPoolStandaloneBnAndGapIntoLinear) {
+  // Constants pass an average pool and a standalone BN (+ folded ReLU),
+  // which keeps only the stored channels' parameters, then a GAP feeds
+  // the linear head, which folds the constant features into its bias.
+  Rng rng(33);
+  Sequential m("pooled");
+  auto& a = add_layer<Conv2d>(m, "a", 3, 6, 3, 1, 1, false);
+  auto& a_bn = add_layer<BatchNorm2d>(m, "a.bn", 6);
+  add_layer<ReLU>(m, "a.relu");
+  add_layer<AvgPool2d>(m, "pool", 2, 2);
+  add_layer<BatchNorm2d>(m, "mid.bn", 6);
+  add_layer<ReLU>(m, "mid.relu");
+  auto& b = add_layer<Conv2d>(m, "b", 6, 5, 3, 1, 1, false);
+  auto& b_bn = add_layer<BatchNorm2d>(m, "b.bn", 5);
+  add_layer<ReLU>(m, "b.relu");
+  add_layer<GlobalAvgPool>(m, "gap");
+  add_layer<Linear>(m, "fc", 5, 4);
+  randomize(m, rng);
+  kill_channels(a, a_bn, {{1, 0.9f}, {3, -0.4f}});
+  kill_channels(b, b_bn, {{0, 0.5f}, {2, 0.3f}});
+  const Shape sample{3, 8, 8};
+  expect_shrunk_parity(m, sample);
+  const std::vector<Shape> shapes =
+      exec_shapes(serve::compile(m, sample, ExecMode::Shrunk), sample);
+  EXPECT_EQ(shapes[1][1], 4);
+  EXPECT_EQ(shapes[shapes.size() - 2], (Shape{1, 3})) << "GAP output keeps the 3 live channels";
+}
+
+TEST(ServeShrunkLayout, LinearHeadFoldsDeadHiddenUnits) {
+  Rng rng(34);
+  Sequential m("mlp");
+  auto& fc1 = add_layer<Linear>(m, "fc1", 12, 10);
+  add_layer<ReLU>(m, "fc1.relu");
+  auto& fc2 = add_layer<Linear>(m, "fc2", 10, 6);
+  add_layer<ReLU>(m, "fc2.relu");
+  add_layer<Linear>(m, "fc3", 6, 3);
+  randomize(m, rng);
+  kill_rows(fc1, {{2, 0.8f}, {5, 0.4f}, {7, -0.3f}});
+  kill_rows(fc2, {{1, 0.5f}, {4, 0.2f}});
+  const Shape sample{12};
+  expect_shrunk_parity(m, sample);
+  const std::vector<Shape> shapes =
+      exec_shapes(serve::compile(m, sample, ExecMode::Shrunk), sample);
+  EXPECT_EQ(shapes[1], (Shape{1, 7}));
+  EXPECT_EQ(shapes[2], (Shape{1, 4}));
+  EXPECT_EQ(shapes[3], (Shape{1, 3}));
+}
+
+TEST(ServeShrunkLayout, FullyPrunedLayerStaysFullWidth) {
+  // Conv b has no live channel: it stays full-width (no tensor has zero
+  // channels), writes its fills, and conv c multiplies them as inputs.
+  Rng rng(35);
+  Sequential m("empty");
+  auto& a = add_layer<Conv2d>(m, "a", 3, 4, 3, 1, 1, false);
+  auto& a_bn = add_layer<BatchNorm2d>(m, "a.bn", 4);
+  add_layer<ReLU>(m, "a.relu");
+  auto& b = add_layer<Conv2d>(m, "b", 4, 5, 3, 1, 1, false);
+  auto& b_bn = add_layer<BatchNorm2d>(m, "b.bn", 5);
+  add_layer<ReLU>(m, "b.relu");
+  add_layer<Conv2d>(m, "c", 5, 3, 3, 1, 1, false);
+  add_layer<BatchNorm2d>(m, "c.bn", 3);
+  randomize(m, rng);
+  kill_channels(a, a_bn, {{1, 0.6f}});
+  kill_channels(b, b_bn, {{0, 0.5f}, {1, -0.2f}, {2, 0.3f}, {3, 0.1f}, {4, -0.4f}});
+  const Shape sample{3, 6, 6};
+  expect_shrunk_parity(m, sample);
+  const std::vector<Shape> shapes =
+      exec_shapes(serve::compile(m, sample, ExecMode::Shrunk), sample);
+  EXPECT_EQ(shapes[1][1], 3);
+  EXPECT_EQ(shapes[2][1], 5);
+}
+
+// Rows of a conv's effective weight with a nonzero entry.
+int64_t live_channels(Conv2d& conv) {
+  const int64_t rows = conv.out_channels(), row = conv.weight().numel() / rows;
+  int64_t live = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    bool any = false;
+    for (int64_t j = 0; j < row; ++j) {
+      any = any || conv.weight().data.at(r * row + j) * conv.weight().mask.at(r * row + j) != 0.0f;
+    }
+    live += any ? 1 : 0;
+  }
+  return live;
+}
+
+// im2col elements a batch-1 Shrunk forward lowers for `seq` (input
+// sample shape `in`, `stored` channels stored): each conv lowers
+// stored_in·k²·out_h·out_w, where stored_in is the live channel count of
+// the conv before it in the same Sequential. A Sequential starts
+// full-width, so does a residual block's output, and so does a conv
+// with no live channel. drop_dead = false counts full-width lowering.
+int64_t expected_lowered(Sequential& seq, Shape in, int64_t stored, bool drop_dead = true) {
+  int64_t total = 0;
+  for (Layer* layer : seq.children()) {
+    const Shape out = layer->output_sample_shape(in);
+    if (auto* conv = dynamic_cast<Conv2d*>(layer)) {
+      total += stored * conv->kernel() * conv->kernel() * out[1] * out[2];
+      const int64_t live = live_channels(*conv);
+      stored = drop_dead && live > 0 ? live : out[0];
+    } else if (auto* res = dynamic_cast<ResidualBlock*>(layer)) {
+      total += expected_lowered(*res->main(), in, in[0], drop_dead);
+      if (res->shortcut() != nullptr) {
+        total += expected_lowered(*res->shortcut(), in, in[0], drop_dead);
+      }
+      stored = out[0];
+    }
+    in = out;
+  }
+  return total;
+}
+
+TEST(ServeShrunkLayout, NoDeadChannelIsLowered) {
+  Tensor x({1, 3, 32, 32});
+  Rng rng(6);
+  rng.fill_normal(x, 0, 1);
+  for (const char* arch : {"cifar-vgg", "resnet-20"}) {
+    ModelPtr m = pruned_zoo_model(arch, kCifarSample, Structure::Channel, 0.25);
+    const serve::Executor exec = serve::compile(*m, kCifarSample, ExecMode::Shrunk);
+    const bool was_enabled = obs::profiling_enabled();
+    obs::set_profiling_enabled(true);
+    obs::Profiler::instance().reset();
+    exec.forward(x);
+    const obs::MetricsSnapshot snap = obs::Profiler::instance().snapshot();
+    obs::Profiler::instance().reset();
+    obs::set_profiling_enabled(was_enabled);
+    const int64_t want = expected_lowered(*m, kCifarSample, kCifarSample[0]);
+    ASSERT_EQ(snap.counters.count("im2col.elements"), 1u) << arch;
+    EXPECT_EQ(snap.counters.at("im2col.elements"), want) << arch;
+    EXPECT_LT(want, expected_lowered(*m, kCifarSample, kCifarSample[0], /*drop_dead=*/false))
+        << arch << ": the fixture should have dead channels to drop";
+  }
 }
 
 // ---- executor activation storage: steady state and high-water mark ----
